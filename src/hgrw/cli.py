@@ -35,6 +35,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _config(cls, **fields):
+    """Build a config dataclass; a field its checks reject is a usage error."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _resolve_paths(g: HeteroGraph, max_len: int, whitelist: list[str] | None) -> list[MetaPath]:
     if whitelist:
         paths = []
@@ -48,7 +56,10 @@ def _resolve_paths(g: HeteroGraph, max_len: int, whitelist: list[str] | None) ->
                 raise DataError(str(exc)) from None
             paths.append(MetaPath(ids))
         return paths
-    return enumerate_metapaths(g.schema, g.target_type, max_len)
+    try:
+        return enumerate_metapaths(g.schema, g.target_type, max_len)
+    except ValueError as exc:
+        raise UsageError(f"--max-path-len: {exc}") from None
 
 
 def _cmd_inspect(args) -> int:
@@ -112,9 +123,9 @@ def _cmd_train(args) -> int:
     paths = _resolve_paths(g, args.max_path_len, args.path)
     if not paths:
         raise DataError("no meta-path to train on (raise --max-path-len or pass --path)")
-    tcfg = TargetsConfig(num_hops=args.num_hops, alpha=args.alpha, dense_cutoff=args.dense_cutoff)
-    targets = _build_targets(g, paths, tcfg)
-    cfg = LearnerConfig(
+    tcfg = _config(TargetsConfig, num_hops=args.num_hops, alpha=args.alpha, dense_cutoff=args.dense_cutoff)
+    cfg = _config(
+        LearnerConfig,
         hidden_dim=args.hidden_dim,
         num_hops=args.num_hops,
         epochs_attr=args.epochs_attr,
@@ -127,6 +138,7 @@ def _cmd_train(args) -> int:
         keep_attr_in_finetune=not args.label_only_finetune,
         seed=args.seed,
     )
+    targets = _build_targets(g, paths, tcfg)
     model, history = train(g, paths, targets, cfg)
     meta = {"targets": {"num_hops": tcfg.num_hops, "alpha": tcfg.alpha, "dense_cutoff": tcfg.dense_cutoff}}
     save_model(model, args.out, extra_meta=meta)
@@ -141,6 +153,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rewire(args) -> int:
+    cfg = _config(
+        RewireConfig,
+        edge_budget=args.edge_budget,
+        epsilon=args.epsilon,
+        gamma=args.gamma,
+        block_size=args.block_size,
+        restrict_two_hop=args.two_hop_only,
+    )
     g = load_graph(args.dataset)
     header = read_checkpoint_header(args.model)
     tmeta = header.get("meta", {}).get("targets", {})
@@ -155,13 +175,6 @@ def _cmd_rewire(args) -> int:
         targets = _build_targets(g, paths, tcfg)
     model, _ = load_model(args.model, g, targets=targets)
 
-    cfg = RewireConfig(
-        edge_budget=args.edge_budget,
-        epsilon=args.epsilon,
-        gamma=args.gamma,
-        block_size=args.block_size,
-        restrict_two_hop=args.two_hop_only,
-    )
     plans, changed = [], []
     for path in model.paths:
         sub = compose_metapath(g, path, symmetrize=True)

@@ -3,13 +3,15 @@
 Per target node, up to ``edge_budget`` new neighbors with similarity above
 ``epsilon`` are proposed; existing edges scoring below ``gamma`` are pruned.
 Additions and removals apply symmetrically. Candidate scoring scans node
-blocks so peak memory stays at block_size x n_target.
+blocks through reused buffers: memory stays at one block_size x n_target
+score buffer (two when the model has several hops) plus, under
+restrict_two_hop, one boolean block mask and one block's rows of the
+two-hop reach.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +20,9 @@ from .errors import DataError
 from .graph import HeteroGraph, HeteroSchema, Relation
 from .learner import SimilarityModel, _path_reps
 from .metapath import MetaPath, MetaPathSubgraph, path_label
-from .sparse import CsrMatrix, bool_spgemm, symmetrize_union
+from .sparse import CsrMatrix
+
+GROUPS = 64  # column groups per score row for the top-k lower bound
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,8 @@ class RewireConfig:
             raise ValueError("edge_budget must be >= 0")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
+        if math.isnan(self.epsilon) or math.isnan(self.gamma):
+            raise ValueError("epsilon and gamma must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -59,21 +65,35 @@ class RewirePlan:
         return not self.additions and not self.removals
 
 
-def worker_count() -> int:
-    """Worker cap from HGRW_THREADS (default 1: fully sequential)."""
-    raw = os.environ.get("HGRW_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _block_top_k(sim: np.ndarray, k: int, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and score of each row's k best entries at or above
+    ``floor``, ordered by (row, -score, column).
 
-
-def _two_hop_mask_rows(sub: CsrMatrix, two_hop: CsrMatrix, rows: np.ndarray, n: int) -> np.ndarray:
-    mask = np.zeros((len(rows), n), dtype=bool)
-    for local, i in enumerate(rows):
-        mask[local, sub.row_cols(int(i))] = True
-        mask[local, two_hop.row_cols(int(i))] = True
-    return mask
+    At least k entries reach the k-th largest maximum of GROUPS equal column
+    groups, so only groups reaching it are searched, plus the columns past
+    the last whole group.
+    """
+    b, n = sim.shape
+    span = n - n % GROUPS if k <= GROUPS else 0
+    bound = np.full(b, floor)
+    found = []
+    if span:
+        grouped = sim[:, :span].reshape(b, GROUPS, -1)
+        group_max = grouped.max(axis=2)
+        np.maximum(bound, np.partition(group_max, GROUPS - k, axis=1)[:, GROUPS - k], out=bound)
+        g_rows, g_ids = np.nonzero(group_max >= bound[:, None])
+        picked = grouped[g_rows, g_ids]
+        hit, offset = np.nonzero(picked >= bound[g_rows, None])
+        found.append((g_rows[hit], g_ids[hit] * grouped.shape[2] + offset))
+    t_rows, t_cols = np.nonzero(sim[:, span:] >= bound[:, None])
+    found.append((t_rows, t_cols + span))
+    rows, cols = (np.concatenate(f) for f in zip(*found))
+    vals = sim[rows, cols]
+    order = np.lexsort((cols, -vals, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    counts = np.bincount(rows, minlength=b)
+    keep = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts) < k
+    return rows[keep], cols[keep], vals[keep]
 
 
 def score_candidates(
@@ -90,58 +110,50 @@ def score_candidates(
     """
     n = m.graph.target_count
     k = cfg.edge_budget
-    if k == 0:
+    if k == 0 or n == 0:
         empty_i = np.zeros(0, dtype=np.int64)
         empty_s = np.zeros(0)
         return CandidateSet(indices=[empty_i] * n, scores=[empty_s] * n)
+    if cfg.restrict_two_hop and sub is None:
+        raise ValueError("restrict_two_hop needs the meta-path subgraph")
 
-    reps = _path_reps(m, path)
-    two_hop = None
+    units = [rep.units for rep in _path_reps(m, path)]
+    # transposes of copies: a block spanning every row would otherwise share
+    # its buffer with the transpose, and numpy rounds u @ u.T differently
+    units_t = [u.copy().T for u in units]
+    block = min(cfg.block_size, n)
+    sim_buf = np.empty((block, n))
+    hop_buf = np.empty_like(sim_buf) if len(units) > 1 else None
     if cfg.restrict_two_hop:
-        if sub is None:
-            raise ValueError("restrict_two_hop needs the meta-path subgraph")
-        two_hop = bool_spgemm(sub.adjacency, sub.adjacency)
+        adj = sub.adjacency.to_scipy()
+        blocked_buf = np.empty((block, n), dtype=bool)
+    floor = float(np.nextafter(cfg.epsilon, np.inf))
 
-    blocks = [
-        np.arange(start, min(start + cfg.block_size, n))
-        for start in range(0, n, cfg.block_size)
-    ]
+    parts = []
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        local = np.arange(stop - start)
+        sim = sim_buf[: stop - start]
+        np.matmul(units[0][start:stop], units_t[0], out=sim)
+        for u, u_t in zip(units[1:], units_t[1:]):
+            hop = hop_buf[: stop - start]
+            np.matmul(u[start:stop], u_t, out=hop)
+            sim *= hop
+        sim[local, local + start] = -2.0  # self pairs never qualify
+        if cfg.restrict_two_hop:
+            blk = adj[start:stop]
+            reach = (blk + blk @ adj).tocsr()
+            blocked = blocked_buf[: stop - start]
+            blocked.fill(True)
+            blocked[np.repeat(local, np.diff(reach.indptr)), reach.indices] = False
+            np.copyto(sim, -2.0, where=blocked)
+        rows, cols, vals = _block_top_k(sim, k, floor)
+        parts.append((rows + start, cols, vals))
 
-    def scan(rows: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        sim = np.ones((len(rows), n))
-        for rep in reps:
-            sim *= rep.units[rows] @ rep.units.T
-        sim[np.arange(len(rows)), rows] = -2.0  # self pairs never qualify
-        if two_hop is not None:
-            allowed = _two_hop_mask_rows(sub.adjacency, two_hop, rows, n)
-            sim[~allowed] = -2.0
-        idx_out, score_out = [], []
-        for local in range(len(rows)):
-            row = sim[local]
-            eligible = np.flatnonzero(row > cfg.epsilon)
-            if eligible.size > k:
-                order = np.lexsort((eligible, -row[eligible]))[:k]
-                eligible = eligible[order]
-            else:
-                order = np.lexsort((eligible, -row[eligible]))
-                eligible = eligible[order]
-            idx_out.append(eligible.astype(np.int64))
-            score_out.append(row[eligible])
-        return idx_out, score_out
-
-    workers = worker_count()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan, blocks))
-    else:
-        results = [scan(b) for b in blocks]
-
-    indices: list[np.ndarray] = []
-    scores: list[np.ndarray] = []
-    for idx_out, score_out in results:
-        indices.extend(idx_out)
-        scores.extend(score_out)
-    return CandidateSet(indices=indices, scores=scores)
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    bounds = list(zip([0, *ends[:-1]], ends))
+    return CandidateSet(indices=[cols[a:b] for a, b in bounds], scores=[vals[a:b] for a, b in bounds])
 
 
 def _pair_scores(m: SimilarityModel, path: MetaPath, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,51 +171,36 @@ def rewire_metapath(
     cfg: RewireConfig,
 ) -> tuple[MetaPathSubgraph, RewirePlan]:
     """Apply additions and prunes to one subgraph; returns the rewired
-    subgraph (canonical, symmetric, diagonal-free) and the audit plan."""
+    subgraph (canonical, symmetric, diagonal-free) and the audit plan.
+
+    An undirected pair {i, j} with i < j is keyed as i * n + j.
+    """
     adj = sub.adjacency
     n = adj.n_rows
-    rows = adj.coo_rows()
-    cols = adj.col_indices
-    upper = rows < cols
-    existing = set(zip(rows[upper].tolist(), cols[upper].tolist()))
-    # symmetric structure stores both directions; lone directed entries still
-    # count as an existing undirected pair
-    lower_pairs = set(zip(cols[~upper].tolist(), rows[~upper].tolist()))
-    existing |= {p for p in lower_pairs if p[0] != p[1]}
+    rows, cols = adj.coo_rows(), adj.col_indices
+    # a lone directed entry still counts as an existing undirected pair
+    existing = np.unique((np.minimum(rows, cols) * n + np.maximum(rows, cols))[rows != cols])
 
-    plan = RewirePlan(path=sub.path)
-    added_pairs: set[tuple[int, int]] = set()
-    for i in range(candidates.n):
-        for j, score in zip(candidates.indices[i], candidates.scores[i]):
-            j = int(j)
-            key = (min(i, j), max(i, j))
-            if i == j or key in existing:
-                continue
-            plan.additions.append((i, j, float(score)))
-            added_pairs.add(key)
+    src = np.repeat(np.arange(candidates.n, dtype=np.int64), [idx.size for idx in candidates.indices])
+    dst = np.concatenate([np.zeros(0, dtype=np.int64), *candidates.indices])
+    scores = np.concatenate([np.zeros(0), *candidates.scores])
+    keys = np.minimum(src, dst) * n + np.maximum(src, dst)
+    new = (src != dst) & ~np.isin(keys, existing)
+    plan = RewirePlan(
+        path=sub.path,
+        additions=list(zip(src[new].tolist(), dst[new].tolist(), scores[new].tolist())),
+    )
 
-    removed_pairs: set[tuple[int, int]] = set()
-    if existing and cfg.gamma > -1.0:
-        pairs = np.array(sorted(existing), dtype=np.int64)
-        scores = _pair_scores(m, sub.path, pairs[:, 0], pairs[:, 1])
-        low = scores < cfg.gamma
-        for (i, j), score in zip(pairs[low].tolist(), scores[low].tolist()):
-            plan.removals.append((int(i), int(j), float(score)))
-            removed_pairs.add((int(i), int(j)))
+    low = np.zeros(existing.size, dtype=bool)
+    if existing.size and cfg.gamma > -1.0:
+        lo, hi = np.divmod(existing, n)
+        pair_scores = _pair_scores(m, sub.path, lo, hi)
+        low = pair_scores < cfg.gamma
+        plan.removals = list(zip(lo[low].tolist(), hi[low].tolist(), pair_scores[low].tolist()))
 
-    final = (existing - removed_pairs) | added_pairs
-    if final:
-        arr = np.array(sorted(final), dtype=np.int64)
-        new_adj = CsrMatrix.from_coo(
-            np.concatenate([arr[:, 0], arr[:, 1]]),
-            np.concatenate([arr[:, 1], arr[:, 0]]),
-            (n, n),
-            None,
-        )
-    else:
-        new_adj = CsrMatrix.empty(n, n)
-    if not sub.symmetric:
-        new_adj = symmetrize_union(new_adj)
+    # both directions of every kept pair: the result is symmetric as built
+    lo, hi = np.divmod(np.union1d(existing[~low], keys[new]), n)
+    new_adj = CsrMatrix.from_coo(np.concatenate([lo, hi]), np.concatenate([hi, lo]), (n, n), None)
     return MetaPathSubgraph(path=sub.path, adjacency=new_adj, symmetric=True), plan
 
 

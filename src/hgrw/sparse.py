@@ -104,11 +104,16 @@ class CsrMatrix:
             bad.append(f"{label}: row_offsets decrease")
         if self.nnz and (self.col_indices.min() < 0 or self.col_indices.max() >= self.n_cols):
             bad.append(f"{label}: column index out of range")
-        for i in range(self.n_rows):
-            cols = self.col_indices[off[i] : off[i + 1]]
-            if cols.shape[0] > 1 and np.any(np.diff(cols) <= 0):
-                bad.append(f"{label}: row {i} columns not strictly increasing")
-                break
+        # row i is col_indices[off[i]:off[i + 1]] under Python slice rules,
+        # broken offsets included
+        ends = np.clip(np.where(off < 0, off + self.nnz, off), 0, self.nnz)
+        lo, hi = ends[:-1], ends[1:]
+        # falls[p]: how many entries q < p are not below entry q + 1
+        falls = np.concatenate([[0], np.cumsum(np.diff(self.col_indices) <= 0)])
+        multi = np.flatnonzero(hi - lo > 1)
+        unsorted = multi[falls[hi[multi] - 1] > falls[lo[multi]]]
+        if unsorted.size:
+            bad.append(f"{label}: row {int(unsorted[0])} columns not strictly increasing")
         if self.values is not None and self.values.shape[0] != self.nnz:
             bad.append(f"{label}: values length {self.values.shape[0]} != nnz")
         return bad

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from hgrw.graph import HeteroGraph
-from hgrw.learner import PairBatch, SimilarityModel, pair_loss
-from hgrw.metapath import MetaPath
+from hgrw.learner import PairBatch, SimilarityModel, _path_reps, pair_loss
+from hgrw.metapath import MetaPath, MetaPathSubgraph
 from hgrw.sparse import CsrMatrix
 
 
@@ -71,6 +71,16 @@ def csr_pairs(adj: CsrMatrix) -> set[tuple[int, int]]:
         for j in adj.row_cols(i):
             out.add((i, int(j)))
     return out
+
+
+def csr_first_unsorted_row(offsets: np.ndarray, cols: np.ndarray) -> int | None:
+    """First row whose slice ``cols[offsets[i]:offsets[i + 1]]`` is not
+    strictly increasing, or None."""
+    for i in range(len(offsets) - 1):
+        row = cols[offsets[i] : offsets[i + 1]]
+        if row.shape[0] > 1 and np.any(np.diff(row) <= 0):
+            return i
+    return None
 
 
 def edge_scan_hr(adj: CsrMatrix, labels: np.ndarray) -> float | None:
@@ -234,3 +244,78 @@ def two_objective_closed_form(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     gamma = float((g2 - g1) @ g2) / denom
     gamma = min(1.0, max(0.0, gamma))
     return np.array([gamma, 1.0 - gamma])
+
+
+def scan_candidates_per_row(
+    m: SimilarityModel,
+    path: MetaPath,
+    edge_budget: int,
+    epsilon: float,
+    block_size: int,
+    sub: MetaPathSubgraph | None = None,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Candidate scan one row at a time: score blocks as ``units[rows] @
+    units.T`` products, mask self pairs (and, given ``sub``, everything
+    beyond two hops) to -2, then sort every entry above epsilon by
+    (-score, index) and keep edge_budget of them. Returns per-row index and
+    score arrays."""
+    n = m.graph.target_count
+    if edge_budget == 0:
+        return [np.zeros(0, dtype=np.int64)] * n, [np.zeros(0)] * n
+    reps = _path_reps(m, path)
+    if sub is not None:
+        adj = sub.adjacency.to_dense() > 0
+        reach = adj | ((adj.astype(np.int64) @ adj.astype(np.int64)) > 0)
+    indices, scores = [], []
+    for start in range(0, n, block_size):
+        rows = np.arange(start, min(start + block_size, n))
+        sim = np.ones((len(rows), n))
+        for rep in reps:
+            sim *= rep.units[rows] @ rep.units.T
+        sim[np.arange(len(rows)), rows] = -2.0
+        if sub is not None:
+            sim[~reach[rows]] = -2.0
+        for local in range(len(rows)):
+            row = sim[local]
+            eligible = np.flatnonzero(row > epsilon)
+            eligible = eligible[np.lexsort((eligible, -row[eligible]))][:edge_budget]
+            indices.append(eligible.astype(np.int64))
+            scores.append(row[eligible])
+    return indices, scores
+
+
+def rewire_with_sets(
+    sub: MetaPathSubgraph,
+    indices: list[np.ndarray],
+    scores: list[np.ndarray],
+    m: SimilarityModel,
+    gamma: float,
+) -> tuple[CsrMatrix, list[tuple[int, int, float]], list[tuple[int, int, float]]]:
+    """Rewiring on Python sets of undirected (low, high) pairs. Every
+    candidate that is no existing pair is an addition, in source then rank
+    order; existing pairs scoring below gamma are removals, in pair order.
+    Returns the symmetric rewired adjacency, additions and removals."""
+    adj = sub.adjacency
+    n = adj.n_rows
+    existing = {(min(i, j), max(i, j)) for i, j in csr_pairs(adj) if i != j}
+    additions, added = [], set()
+    for i in range(len(indices)):
+        for j, score in zip(indices[i].tolist(), scores[i].tolist()):
+            key = (min(i, j), max(i, j))
+            if i != j and key not in existing:
+                additions.append((i, j, score))
+                added.add(key)
+    removals, removed = [], set()
+    if existing and gamma > -1.0:
+        pairs = np.array(sorted(existing), dtype=np.int64)
+        pair_scores = np.ones(len(pairs))
+        for rep in _path_reps(m, sub.path):
+            pair_scores *= np.einsum("ij,ij->i", rep.units[pairs[:, 0]], rep.units[pairs[:, 1]])
+        for (i, j), score in zip(pairs.tolist(), pair_scores.tolist()):
+            if score < gamma:
+                removals.append((i, j, score))
+                removed.add((i, j))
+    final = sorted((existing - removed) | added)
+    rows = [i for i, j in final] + [j for i, j in final]
+    cols = [j for i, j in final] + [i for i, j in final]
+    return CsrMatrix.from_coo(rows, cols, (n, n)), additions, removals

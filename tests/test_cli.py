@@ -78,6 +78,33 @@ class TestExitCodes:
         assert "numeric" in capsys.readouterr().err
 
 
+BAD_FLAGS = [
+    ("train", ["--epochs-attr", "0"]),
+    ("train", ["--k1", "0"]),
+    ("train", ["--alpha", "2"]),
+    ("inspect", ["--max-path-len", "0"]),
+    ("train", ["--max-path-len", "0"]),
+    ("diag", ["--max-path-len", "0"]),
+    ("rewire", ["--edge-budget", "-1"]),
+    ("rewire", ["--block-size", "0"]),
+    ("rewire", ["--epsilon", "nan"]),
+    ("rewire", ["--gamma", "nan"]),
+]
+
+
+@pytest.mark.parametrize("command,flags", BAD_FLAGS, ids=[" ".join([c, *f]) for c, f in BAD_FLAGS])
+def test_rejected_flag_value_is_usage_error(command, flags, dataset, trained_model, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    extra = {
+        "inspect": [],
+        "train": ["--out", out],
+        "rewire": ["--model", trained_model, "--out", out],
+        "diag": ["--report", out],
+    }[command]
+    assert main([command, dataset, *extra, *flags]) == 1
+    assert capsys.readouterr().err.startswith("hgrw: usage error:")
+
+
 class TestTrain:
     def test_writes_checkpoint_and_history(self, trained_model):
         assert os.path.exists(trained_model)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgrw.errors import DataError
 from hgrw.learner import LearnerConfig, SimilarityModel, model_similarity
@@ -14,7 +15,8 @@ from hgrw.rewire import (
 from hgrw.synth import SynthConfig, synth_generate
 from hgrw.targets import TargetsConfig, similarity_targets
 
-from oracles import csr_pairs
+from conftest import make_graph
+from oracles import csr_pairs, rewire_with_sets, scan_candidates_per_row
 
 
 def small_model(n=6, seed=0):
@@ -193,3 +195,70 @@ def test_plan_tsv_format():
         label, op, i, j, score = line.split("\t")
         assert op in ("add", "del")
         int(i), int(j), float(score)
+
+
+def twin_graph(rng: np.random.Generator, n: int):
+    """Targets with one directed self relation and links to an auxiliary
+    type. The last quarter of the targets copy the features and edges of
+    earlier ones, and sparse edges leave some targets isolated, so that
+    scores tie exactly."""
+    base = n - n // 4
+    n_aux = int(rng.integers(1, 12))
+    density = float(rng.uniform(0.01, 0.2))
+    edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(rng.random((base, base)) < density)) if i != j]
+    links = [(int(i), int(a)) for i, a in zip(*np.nonzero(rng.random((base, n_aux)) < density))]
+    feats = rng.standard_normal((n, 3))
+    for twin, orig in zip(range(base, n), rng.integers(0, base, size=n - base).tolist()):
+        feats[twin] = feats[orig]
+        edges += [(twin, j) for i, j in edges if i == orig] + [(i, twin) for i, j in edges if j == orig]
+        links += [(twin, a) for i, a in links if i == orig]
+    return make_graph(
+        {"n": n, "a": n_aux},
+        [("self", "n", "n", edges), ("na", "n", "a", links), ("an", "a", "n", [(a, i) for i, a in links])],
+        "n",
+        labels=rng.integers(0, 2, size=n).tolist(),
+        num_classes=2,
+        features={"n": feats, "a": rng.standard_normal((n_aux, 3))},
+    )
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 150),
+    budget_at_least_n=st.booleans(),
+    block_size=st.sampled_from([1, 7, None]),
+    epsilon=st.sampled_from([-2.0, 0.0, 0.6]),
+    two_hop=st.booleans(),
+    gamma=st.sampled_from([-1.0, 0.0]),
+    aux_path=st.booleans(),
+    num_hops=st.sampled_from([1, 2]),
+    symmetric=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_scan_and_apply_match_per_row_and_set_oracles(
+    seed, n, budget_at_least_n, block_size, epsilon, two_hop, gamma, aux_path, num_hops, symmetric
+):
+    rng = np.random.default_rng(seed)
+    g = twin_graph(rng, n)
+    path = MetaPath((1, 2)) if aux_path else MetaPath((0,))
+    model = SimilarityModel(g, [path], LearnerConfig(hidden_dim=4, num_hops=num_hops, seed=seed))
+    sub = compose_metapath(g, path, symmetrize=symmetric)
+    budget = n + int(rng.integers(0, 3)) if budget_at_least_n else int(rng.integers(0, n))
+    cfg = RewireConfig(edge_budget=budget, epsilon=epsilon, gamma=gamma,
+                       block_size=block_size or n, restrict_two_hop=two_hop)
+
+    cands = score_candidates(model, path, cfg, sub=sub)
+    want_idx, want_scores = scan_candidates_per_row(
+        model, path, budget, epsilon, cfg.block_size, sub=sub if two_hop else None
+    )
+    assert cands.n == n
+    for got, want in zip(cands.indices + cands.scores, want_idx + want_scores):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    rewired, plan = rewire_metapath(sub, cands, model, cfg)
+    want_adj, want_add, want_del = rewire_with_sets(sub, want_idx, want_scores, model, gamma)
+    assert plan.additions == want_add
+    assert plan.removals == want_del
+    assert rewired.symmetric and rewired.adjacency.is_boolean
+    assert rewired.adjacency.same_structure(want_adj)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from hgrw.sparse import CsrMatrix, bool_spgemm, drop_diagonal, row_normalize, spmm, symmetrize_union
 
-from oracles import dense_bool_product, dense_matmul
+from oracles import csr_first_unsorted_row, dense_bool_product, dense_matmul
 
 
 def random_csr(rng: np.random.Generator, n_rows: int, n_cols: int, density: float = 0.2, boolean=True):
@@ -33,6 +33,35 @@ class TestCsrMatrix:
     def test_check_flags_bad_offsets(self):
         m = CsrMatrix(2, 2, np.array([0, 2, 1]), np.array([0, 1]), None)
         assert any("row_offsets" in msg for msg in m.check())
+
+
+    def test_check_allows_decrease_across_row_boundary(self):
+        m = CsrMatrix(3, 4, np.array([0, 2, 2, 4]), np.array([1, 3, 0, 2]), None)
+        assert m.check() == []
+
+    def test_check_reports_repeat_after_empty_rows(self):
+        m = CsrMatrix(5, 4, np.array([0, 1, 1, 1, 3, 4]), np.array([2, 1, 1, 0]), None)
+        assert m.check(label="r") == ["r: row 3 columns not strictly increasing"]
+
+    def test_check_reports_unsorted_last_row(self):
+        m = CsrMatrix(2, 4, np.array([0, 2, 5]), np.array([0, 3, 1, 3, 2]), None)
+        assert m.check() == ["csr: row 1 columns not strictly increasing"]
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_check_finds_first_unsorted_row_of_loop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n_rows, nnz = int(rng.integers(0, 8)), int(rng.integers(0, 12))
+        cols = rng.integers(0, 5, size=nnz)
+        if rng.random() < 0.5:  # valid offsets
+            inner = np.sort(rng.integers(0, nnz + 1, size=max(n_rows - 1, 0)))
+            offsets = np.concatenate([[0], inner, [nnz]]) if n_rows else np.array([0])
+        else:  # broken offsets are read with slice rules
+            offsets = rng.integers(-nnz - 2, nnz + 3, size=n_rows + 1)
+        m = CsrMatrix(n_rows, 5, offsets.astype(np.int64), cols.astype(np.int64), None)
+        row = csr_first_unsorted_row(m.row_offsets, m.col_indices)
+        flagged = [msg for msg in m.check() if "strictly increasing" in msg]
+        assert flagged == ([] if row is None else [f"csr: row {row} columns not strictly increasing"])
 
 
 class TestRowNormalize:
