@@ -27,11 +27,8 @@ from .learner import (
     LearnerConfig,
     PairBatch,
     SimilarityModel,
-    encode,
     gradients,
-    init_model,
     load_model,
-    model_similarity,
     pair_loss,
     save_model,
     train,
@@ -54,14 +51,13 @@ from .rewire import (
     rewire_metapath,
     score_candidates,
 )
-from .sparse import CsrMatrix, bool_spgemm, row_normalize, spmm
+from .sparse import CsrMatrix, bool_spgemm, row_normalize
 from .synth import SynthConfig, synth_generate
 from .targets import (
     DistributionFeatures,
     SimilarityTargets,
     TargetsConfig,
     centered_cosine,
-    label_mask,
     neighborhood_distributions,
     similarity_targets,
 )
@@ -98,20 +94,16 @@ __all__ = [
     "centered_cosine",
     "complexity_measure",
     "compose_metapath",
-    "encode",
     "enumerate_metapaths",
     "gradients",
     "hg_homophily",
     "homophily_ratio",
     "homophily_report",
-    "init_model",
-    "label_mask",
     "load_graph",
     "load_model",
     "mean_aggregation",
     "merge_into_graph",
     "min_norm_point",
-    "model_similarity",
     "neighborhood_distributions",
     "pair_loss",
     "path_label",
@@ -121,7 +113,6 @@ __all__ = [
     "save_model",
     "score_candidates",
     "similarity_targets",
-    "spmm",
     "synth_generate",
     "train",
     "validate_graph",

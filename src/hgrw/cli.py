@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -14,17 +15,10 @@ import numpy as np
 
 from .diagnostics import ComplexityInputs, complexity_measure, homophily_report, mean_aggregation
 from .dataio import load_graph, save_graph
-from .errors import DataError, NumericError, UndefinedMeasureError, UndefinedRatioError, UsageError
+from .errors import DataError, NumericError, UndefinedMeasureError, UsageError
 from .graph import HeteroGraph
-from .learner import (
-    LearnerConfig,
-    load_model,
-    read_checkpoint_header,
-    save_history_csv,
-    save_model,
-    train,
-)
-from .metapath import MetaPath, compose_metapath, edge_label_counts, enumerate_metapaths, homophily_ratio, path_label
+from .learner import LearnerConfig, read_checkpoint, save_history_csv, save_model, train
+from .metapath import MetaPath, compose_metapath, enumerate_metapaths, max_homophily, measure_paths, path_label
 from .rewire import RewireConfig, merge_into_graph, rewire_metapath, save_plan_tsv, score_candidates
 from .synth import SynthConfig, synth_generate
 from .targets import TargetsConfig, similarity_targets
@@ -65,24 +59,17 @@ def _resolve_paths(g: HeteroGraph, max_len: int, whitelist: list[str] | None) ->
 def _cmd_inspect(args) -> int:
     g = load_graph(args.dataset)
     paths = _resolve_paths(g, args.max_path_len, args.path)
-    best = None
     print(f"{'metapath':<24}{'hr':>10}{'edges':>10}{'coverage':>10}")
-    for path in paths:
-        sub = compose_metapath(g, path, symmetrize=True)
+    by_label = []
+    for path, sub, h in measure_paths(g, paths):
         label = path_label(g.schema, path)
-        _, counted, total = edge_label_counts(sub, g.labels)
-        try:
-            hr = homophily_ratio(sub, g.labels)
-        except UndefinedRatioError:
+        if h is None:
             print(f"{label:<24}{'n/a':>10}{sub.adjacency.nnz:>10}{'n/a':>10}")
-            continue
-        coverage = counted / total
-        print(f"{label:<24}{hr:>10.4f}{sub.adjacency.nnz:>10}{coverage:>10.4f}")
-        if best is None or hr > best[0]:
-            best = (hr, label)
-    if best is None:
-        raise NumericError("no meta-path has a measurable homophily ratio")
-    print(f"mh {best[0]:.4f} ({best[1]})")
+        else:
+            print(f"{label:<24}{h.ratio:>10.4f}{h.edges:>10}{h.coverage:>10.4f}")
+        by_label.append((h, label))
+    mh, best = max_homophily(by_label)
+    print(f"mh {mh:.4f} ({best})")
     return 0
 
 
@@ -123,7 +110,7 @@ def _cmd_train(args) -> int:
     paths = _resolve_paths(g, args.max_path_len, args.path)
     if not paths:
         raise DataError("no meta-path to train on (raise --max-path-len or pass --path)")
-    tcfg = _config(TargetsConfig, num_hops=args.num_hops, alpha=args.alpha, dense_cutoff=args.dense_cutoff)
+    tcfg = _config(TargetsConfig, num_hops=args.num_hops, alpha=args.alpha)
     cfg = _config(
         LearnerConfig,
         hidden_dim=args.hidden_dim,
@@ -140,8 +127,7 @@ def _cmd_train(args) -> int:
     )
     targets = _build_targets(g, paths, tcfg)
     model, history = train(g, paths, targets, cfg)
-    meta = {"targets": {"num_hops": tcfg.num_hops, "alpha": tcfg.alpha, "dense_cutoff": tcfg.dense_cutoff}}
-    save_model(model, args.out, extra_meta=meta)
+    save_model(model, args.out, extra_meta={"targets": dataclasses.asdict(tcfg)})
     labels = [path_label(g.schema, p) for p in paths]
     loss_csv = args.loss_csv or args.out + ".loss.csv"
     save_history_csv(history, labels, loss_csv)
@@ -162,18 +148,19 @@ def _cmd_rewire(args) -> int:
         restrict_two_hop=args.two_hop_only,
     )
     g = load_graph(args.dataset)
-    header = read_checkpoint_header(args.model)
-    tmeta = header.get("meta", {}).get("targets", {})
-    paths = [MetaPath(tuple(ids)) for ids in header["paths"]]
+    ckpt = read_checkpoint(args.model)
     targets = None
-    if header["config"]["concat_distribution_features"]:
-        tcfg = TargetsConfig(
-            num_hops=tmeta.get("num_hops", header["config"]["num_hops"]),
-            alpha=tmeta.get("alpha", 0.6),
-            dense_cutoff=tmeta.get("dense_cutoff", 20_000),
-        )
-        targets = _build_targets(g, paths, tcfg)
-    model, _ = load_model(args.model, g, targets=targets)
+    if ckpt.cfg.concat_distribution_features:
+        ckpt.check_graph(g)  # the targets compose the checkpoint's paths on g
+        try:
+            tmeta = ckpt.header.get("meta", {}).get("targets", {})
+            tcfg = TargetsConfig(
+                num_hops=tmeta.get("num_hops", ckpt.cfg.num_hops), alpha=tmeta.get("alpha", 0.6)
+            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DataError(f"{args.model}: bad targets metadata ({exc})") from None
+        targets = _build_targets(g, ckpt.paths, tcfg)
+    model = ckpt.model(g, targets)
 
     plans, changed = [], []
     for path in model.paths:
@@ -202,16 +189,11 @@ def _cmd_rewire(args) -> int:
 def _cmd_diag(args) -> int:
     g = load_graph(args.dataset)
     paths = _resolve_paths(g, args.max_path_len, args.path)
-    rows = []
-    mh = None
+    rows, measured = [], []
     labeled = g.labels >= 0
-    for path in paths:
-        sub = compose_metapath(g, path, symmetrize=True)
-        label = path_label(g.schema, path)
-        _, counted, total = edge_label_counts(sub, g.labels)
-        try:
-            hr = homophily_ratio(sub, g.labels)
-        except UndefinedRatioError:
+    for path, sub, h in measure_paths(g, paths):
+        measured.append((h, path))
+        if h is None:
             continue
         complexity = None
         if np.unique(g.labels[labeled]).size >= 2:
@@ -224,16 +206,14 @@ def _cmd_diag(args) -> int:
                 complexity = None
         rows.append(
             {
-                "metapath": label,
-                "hr": hr,
-                "coverage": counted / total,
-                "edges": sub.adjacency.nnz,
+                "metapath": path_label(g.schema, path),
+                "hr": h.ratio,
+                "coverage": h.coverage,
+                "edges": h.edges,
                 "complexity": complexity,
             }
         )
-        mh = hr if mh is None else max(mh, hr)
-    if mh is None:
-        raise NumericError("no meta-path has a measurable homophily ratio")
+    mh, _ = max_homophily(measured)
     doc = {"paths": rows, "mh": mh}
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -279,7 +259,6 @@ def build_parser() -> _Parser:
     add_path_args(p)
     p.add_argument("--num-hops", type=int, default=1)
     p.add_argument("--alpha", type=float, default=0.6)
-    p.add_argument("--dense-cutoff", type=int, default=20_000)
     p.add_argument("--epochs-attr", type=int, default=200)
     p.add_argument("--epochs-label", type=int, default=30)
     p.add_argument("--lr", type=float, default=5e-4)

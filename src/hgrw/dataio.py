@@ -1,8 +1,9 @@
 """On-disk dataset format.
 
 A dataset directory holds manifest.json plus one TSV edge list per relation,
-one feature matrix per node type (binary container by default, TSV as an
-interchange alternative), labels.tsv and splits.tsv for the target type.
+one feature matrix per node type (written as a binary container; a TSV
+matrix is also read, as an interchange input), labels.tsv and splits.tsv for
+the target type.
 Loading after saving reproduces the graph exactly: integer structure equal,
 feature bytes identical.
 """
@@ -64,13 +65,6 @@ def read_features_bin(filename: str) -> np.ndarray:
         return np.frombuffer(raw, dtype="<f4").reshape(rows, cols).copy()
 
 
-def write_features_tsv(x: np.ndarray, filename: str) -> None:
-    x = np.asarray(x, dtype=np.float32)
-    with open(filename, "w", encoding="utf-8") as fh:
-        for row in x:
-            fh.write("\t".join(f"{float(v):.9g}" for v in row) + "\n")
-
-
 def read_features_tsv(filename: str, cols: int) -> np.ndarray:
     rows = []
     with open(filename, encoding="utf-8") as fh:
@@ -117,16 +111,13 @@ def _write_edges(adj: CsrMatrix, filename: str) -> None:
             fh.write(f"{i}\t{j}\n")
 
 
-def save_graph(g: HeteroGraph, directory: str, features_as_tsv: bool = False) -> None:
+def save_graph(g: HeteroGraph, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     taken: set[str] = set()
     node_rows = []
     for t, x in zip(g.schema.node_types, g.features):
-        ext = "tsv" if features_as_tsv else "bin"
-        fname = f"features_{_safe_name(t.name, taken)}.{ext}"
-        (write_features_tsv if features_as_tsv else write_features_bin)(
-            x, os.path.join(directory, fname)
-        )
+        fname = f"features_{_safe_name(t.name, taken)}.bin"
+        write_features_bin(x, os.path.join(directory, fname))
         node_rows.append(
             {"name": t.name, "count": t.node_count, "feature_dim": t.feature_dim, "feature_file": fname}
         )

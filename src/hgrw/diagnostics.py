@@ -10,15 +10,8 @@ import numpy as np
 
 from .errors import NumericError, UndefinedMeasureError
 from .graph import HeteroGraph
-from .metapath import (
-    MetaPath,
-    MetaPathSubgraph,
-    compose_metapath,
-    edge_label_counts,
-    homophily_ratio,
-    path_label,
-)
-from .sparse import row_normalize, spmm
+from .metapath import MetaPath, MetaPathSubgraph, compose_metapath, max_homophily, path_homophily, path_label
+from .sparse import row_normalize
 
 
 @dataclass(frozen=True)
@@ -76,8 +69,7 @@ def complexity_measure(inputs: ComplexityInputs, squared: bool = False) -> float
 def mean_aggregation(sub: MetaPathSubgraph, g: HeteroGraph) -> np.ndarray:
     """One layer of neighbor mean aggregation of the target features over a
     meta-path subgraph (zero rows for isolated nodes)."""
-    walk = row_normalize(sub.adjacency)
-    return spmm(walk, np.asarray(g.features[g.target_type], dtype=np.float64))
+    return row_normalize(sub.adjacency) @ np.asarray(g.features[g.target_type], dtype=np.float64)
 
 
 def ari(before: np.ndarray, after: np.ndarray) -> float:
@@ -159,24 +151,14 @@ def homophily_report(
     fraction of the after subgraph's edges, the graph consumers train on."""
     if g_before.target_type != g_after.target_type:
         raise ValueError("graphs disagree on the target type")
-    rows = []
-    mh_before, mh_after = -np.inf, -np.inf
+    rows, before, after = [], [], []
     for path in paths:
-        sub_b = compose_metapath(g_before, path, symmetrize=True)
-        sub_a = _after_subgraph(g_before, g_after, path)
-        hr_b = homophily_ratio(sub_b, labels)
-        hr_a = homophily_ratio(sub_a, labels)
-        _, counted, total = edge_label_counts(sub_a, labels)
-        rows.append(
-            PathHomophily(
-                label=path_label(g_before.schema, path),
-                hr_before=hr_b,
-                hr_after=hr_a,
-                edges_before=sub_b.adjacency.nnz,
-                edges_after=sub_a.adjacency.nnz,
-                coverage=counted / total if total else 0.0,
-            )
-        )
-        mh_before = max(mh_before, hr_b)
-        mh_after = max(mh_after, hr_a)
-    return HomophilyReport(paths=tuple(rows), mh_before=mh_before, mh_after=mh_after)
+        label = path_label(g_before.schema, path)
+        hb = path_homophily(compose_metapath(g_before, path, symmetrize=True), labels)
+        ha = path_homophily(_after_subgraph(g_before, g_after, path), labels)
+        rows.append(PathHomophily(label, hb.ratio, ha.ratio, hb.edges, ha.edges, ha.coverage))
+        before.append((hb, label))
+        after.append((ha, label))
+    return HomophilyReport(
+        paths=tuple(rows), mh_before=max_homophily(before)[0], mh_after=max_homophily(after)[0]
+    )

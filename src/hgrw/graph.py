@@ -40,12 +40,6 @@ class HeteroSchema:
     def node_count(self, type_id: int) -> int:
         return self.node_types[type_id].node_count
 
-    def type_named(self, name: str) -> NodeType:
-        for t in self.node_types:
-            if t.name == name:
-                return t
-        raise KeyError(f"unknown node type {name!r}")
-
     def relation_named(self, name: str) -> Relation:
         for r in self.relations:
             if r.name == name:
@@ -134,6 +128,9 @@ def validate_graph(g: HeteroGraph) -> list[str]:
         for t, x in zip(g.schema.node_types, g.features):
             if x.shape != (t.node_count, t.feature_dim):
                 bad.append(f"features[{t.name!r}]: shape {x.shape} != {(t.node_count, t.feature_dim)}")
+            elif not np.isfinite(x).all():
+                row = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+                bad.append(f"features[{t.name!r}]: node {row} has a non-finite value")
 
     n_tgt = g.target_count
     if g.labels.shape != (n_tgt,):

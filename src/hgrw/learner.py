@@ -15,8 +15,10 @@ order its per-hop projections.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +28,7 @@ from .graph import HeteroGraph
 from .metapath import MetaPath
 from .multiobjective import SimplexWeights, min_norm_point
 from .sparse import CsrMatrix, row_normalize
-from .targets import ZERO_NORM_CUTOFF, DistributionFeatures, SimilarityTargets
+from .targets import ZERO_NORM_CUTOFF, DistributionFeatures, SimilarityTargets, centered_unit_rows
 
 CHECKPOINT_MAGIC = b"MSL1"
 
@@ -51,6 +53,8 @@ class LearnerConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ def union_adjacency(g: HeteroGraph) -> tuple[CsrMatrix, np.ndarray]:
     else:
         all_rows = np.zeros(0, dtype=np.int64)
         all_cols = np.zeros(0, dtype=np.int64)
-    return CsrMatrix.from_coo(all_rows, all_cols, (n_all, n_all), None), offsets
+    return CsrMatrix.from_coo(all_rows, all_cols, (n_all, n_all)), offsets
 
 
 class SimilarityModel:
@@ -115,8 +119,7 @@ class SimilarityModel:
         self.paths = tuple(paths)
         self.path_index = {p: i for i, p in enumerate(self.paths)}
         union, offsets = union_adjacency(g)
-        self.union_walk = row_normalize(union)
-        self._walk_sp = self.union_walk.to_scipy()
+        self._walk_sp = row_normalize(union)
         self._walk_sp_t = self._walk_sp.T.tocsr()
         self.type_offsets = offsets
         self.target_slice = slice(
@@ -183,22 +186,6 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def init_model(
-    g: HeteroGraph,
-    paths: Sequence[MetaPath],
-    cfg: LearnerConfig,
-    dist_features: Sequence[DistributionFeatures] | None = None,
-) -> SimilarityModel:
-    return SimilarityModel(g, paths, cfg, dist_features)
-
-
-def encode(g: HeteroGraph, m: SimilarityModel) -> tuple[np.ndarray, ...]:
-    """Per-hop encodings of the whole graph under the current parameters."""
-    if g.schema.content_hash() != m.graph.schema.content_hash():
-        raise DataError("model was built for a different schema")
-    return m.encodings()
-
-
 @dataclass
 class _HopRep:
     units: np.ndarray  # (n_target, width) centered unit rows; zero rows for degenerate nodes
@@ -215,21 +202,9 @@ def _path_reps(m: SimilarityModel, path: MetaPath) -> list[_HopRep]:
         h = z_t @ m.w_path[pidx][k]
         if m.cfg.concat_distribution_features:
             h = np.concatenate([h, m.dist_features[pidx].attr[k]], axis=1)
-        centered = h - h.mean(axis=0)
-        norms = np.linalg.norm(centered, axis=1)
-        safe = np.where(norms < ZERO_NORM_CUTOFF, 1.0, norms)
-        units = centered / safe[:, None]
-        units[norms < ZERO_NORM_CUTOFF] = 0.0
+        units, norms = centered_unit_rows(h)
         reps.append(_HopRep(units=units, norms=norms, z_target=z_t))
     return reps
-
-
-def model_similarity(m: SimilarityModel, path: MetaPath, i: int, j: int) -> float:
-    """Product over hops of centered cosine between nodes i and j."""
-    out = 1.0
-    for rep in _path_reps(m, path):
-        out *= float(rep.units[i] @ rep.units[j])
-    return out
 
 
 def similarity_block(m: SimilarityModel, path: MetaPath, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -519,19 +494,7 @@ def save_model(m: SimilarityModel, filename: str, extra_meta: dict | None = None
         "format_version": 1,
         "schema_hash": m.graph.schema.content_hash(),
         "target_type": m.graph.target_type,
-        "config": {
-            "hidden_dim": m.cfg.hidden_dim,
-            "num_hops": m.cfg.num_hops,
-            "epochs_attr": m.cfg.epochs_attr,
-            "epochs_label": m.cfg.epochs_label,
-            "learning_rate": m.cfg.learning_rate,
-            "weight_decay": m.cfg.weight_decay,
-            "batch_rows": m.cfg.batch_rows,
-            "batch_cols": m.cfg.batch_cols,
-            "concat_distribution_features": m.cfg.concat_distribution_features,
-            "keep_attr_in_finetune": m.cfg.keep_attr_in_finetune,
-            "seed": m.cfg.seed,
-        },
+        "config": asdict(m.cfg),
         "paths": [list(p.relation_ids) for p in m.paths],
         "params": [{"key": list(k), "shape": list(p.shape)} for k, p in items],
         "meta": extra_meta or {},
@@ -545,24 +508,81 @@ def save_model(m: SimilarityModel, filename: str, extra_meta: dict | None = None
             fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
 
 
-def _open_checkpoint(filename: str):
+@dataclass(frozen=True)
+class Checkpoint:
+    """A parsed checkpoint: the JSON header and the values it describes."""
+
+    filename: str
+    header: dict
+    schema_hash: str
+    cfg: LearnerConfig
+    paths: tuple[MetaPath, ...]
+    params: tuple[tuple[tuple, np.ndarray], ...]
+
+    def check_graph(self, g: HeteroGraph) -> None:
+        """Raise DataError unless the checkpoint fits ``g``'s schema."""
+        if self.schema_hash != g.schema.content_hash():
+            raise DataError(f"{self.filename}: checkpoint was trained on a different schema")
+        n_rel = len(g.schema.relations)
+        if any(not 0 <= rid < n_rel for p in self.paths for rid in p.relation_ids):
+            raise DataError(f"{self.filename}: a meta-path names a relation the schema lacks")
+
+    def model(self, g: HeteroGraph, targets: Sequence[SimilarityTargets] | None = None) -> SimilarityModel:
+        """Rebuild the model bound to ``g``. Concat-mode models need per-path
+        targets to restore distribution features."""
+        self.check_graph(g)
+        dist = None
+        if self.cfg.concat_distribution_features:
+            if targets is None or len(targets) != len(self.paths):
+                raise DataError("concat-mode checkpoint needs one SimilarityTargets per path")
+            dist = [t.df for t in targets]
+        model = SimilarityModel(g, self.paths, self.cfg, dist_features=dist)
+        expected = [(key, p.shape) for key, p in model.param_items()]
+        if [(key, p.shape) for key, p in self.params] != expected:
+            raise DataError(f"{self.filename}: parameter index does not match the model")
+        for key, p in self.params:
+            model.set_param(key, p)
+        return model
+
+
+def read_checkpoint(filename: str) -> Checkpoint:
+    """Parse a checkpoint from one read of the file (no graph needed). Every
+    departure from the layout save_model writes, trailing bytes included, is
+    a DataError."""
     try:
-        return open(filename, "rb")
+        with open(filename, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open checkpoint {filename}: {exc}") from None
-
-
-def read_checkpoint_header(filename: str) -> dict:
-    """Parse just the JSON header of a checkpoint (no graph needed)."""
-    with _open_checkpoint(filename) as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise DataError(f"{filename}: not a model checkpoint (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-    if header.get("format_version") != 1:
-        raise DataError(f"{filename}: unsupported checkpoint version")
-    return header
+    if data[:4] != CHECKPOINT_MAGIC:
+        raise DataError(f"{filename}: not a model checkpoint (bad magic {data[:4]!r})")
+    try:
+        (hlen,) = struct.unpack_from("<I", data, 4)
+        header = json.loads(data[8 : 8 + hlen])
+        if header["format_version"] != 1:
+            raise DataError(f"{filename}: unsupported checkpoint version")
+        config = header["config"]
+        for f in fields(LearnerConfig):  # each present, typed like its default
+            allowed = (int, float) if type(f.default) is float else (type(f.default),)
+            if type(config[f.name]) not in allowed:
+                raise TypeError(f"config field {f.name!r} holds {config[f.name]!r}")
+        cfg = LearnerConfig(**config)  # an unknown field is a TypeError
+        paths = tuple(MetaPath(tuple(map(operator.index, ids))) for ids in header["paths"])
+        params, offset = [], 8 + hlen
+        for entry in header["params"]:
+            shape = tuple(entry["shape"])  # a bad one fails below or in Checkpoint.model
+            end = offset + 8 * math.prod(shape)
+            if end > len(data):
+                raise DataError(f"{filename}: truncated parameter data")
+            arr = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
+            params.append((tuple(entry["key"]), arr))
+            offset = end
+        schema_hash = header["schema_hash"]
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{filename}: malformed checkpoint header ({type(exc).__name__}: {exc})") from None
+    if offset != len(data):
+        raise DataError(f"{filename}: {len(data) - offset} trailing bytes after the parameters")
+    return Checkpoint(filename, header, schema_hash, cfg, paths, tuple(params))
 
 
 def load_model(
@@ -570,33 +590,7 @@ def load_model(
     g: HeteroGraph,
     targets: Sequence[SimilarityTargets] | None = None,
 ) -> tuple[SimilarityModel, dict]:
-    """Rebuild a model from a checkpoint, bound to ``g``. The schema hash must
-    match; concat-mode models need per-path targets to restore distribution
-    features."""
-    with _open_checkpoint(filename) as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise DataError(f"{filename}: not a model checkpoint (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("format_version") != 1:
-            raise DataError(f"{filename}: unsupported checkpoint version")
-        if header["schema_hash"] != g.schema.content_hash():
-            raise DataError(f"{filename}: checkpoint was trained on a different schema")
-        cfg = LearnerConfig(**header["config"])
-        paths = [MetaPath(tuple(ids)) for ids in header["paths"]]
-        dist = None
-        if cfg.concat_distribution_features:
-            if targets is None or len(targets) != len(paths):
-                raise DataError("concat-mode checkpoint needs one SimilarityTargets per path")
-            dist = [t.df for t in targets]
-        model = SimilarityModel(g, paths, cfg, dist_features=dist)
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape))
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise DataError(f"{filename}: truncated parameter data")
-            arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            model.set_param(tuple(entry["key"]), arr)
-    return model, header
+    """Rebuild a model from a checkpoint, bound to ``g``; returns it with the
+    checkpoint header. The schema hash must match."""
+    ckpt = read_checkpoint(filename)
+    return ckpt.model(g, targets), ckpt.header

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -78,8 +79,6 @@ def compose_metapath(g: HeteroGraph, path: MetaPath, symmetrize: bool = True) ->
         step = g.adjacency[rid]
         acc = step if acc is None else bool_spgemm(acc, step)
     adj = drop_diagonal(acc)
-    if adj.values is not None:
-        adj = CsrMatrix(adj.n_rows, adj.n_cols, adj.row_offsets, adj.col_indices, None)
     if symmetrize:
         adj = symmetrize_union(adj)
     return MetaPathSubgraph(path=path, adjacency=adj, symmetric=symmetrize)
@@ -142,41 +141,68 @@ def enumerate_metapaths(schema: HeteroSchema, target: int, max_len: int) -> list
     return kept
 
 
-def edge_label_counts(sub: MetaPathSubgraph, labels: np.ndarray) -> tuple[int, int, int]:
-    """(same-label entries, entries with both endpoints labeled, all entries)."""
+class Homophily(NamedTuple):
+    """Edge homophily of one subgraph."""
+
+    ratio: float  # same-label share of the edges whose endpoints are both labeled
+    edges: int  # stored entries
+    coverage: float  # share of the entries whose endpoints are both labeled
+
+
+def path_homophily(sub: MetaPathSubgraph, labels: np.ndarray) -> Homophily:
+    """Homophily ratio, edge count and label coverage of a subgraph, from one
+    pass over its entries. Edges with an unlabeled endpoint are excluded from
+    the ratio's numerator and denominator; a subgraph with no countable edge
+    raises UndefinedRatioError."""
     labels = np.asarray(labels)
     rows = sub.adjacency.coo_rows()
     cols = sub.adjacency.col_indices
     total = rows.shape[0]
+    if total == 0:
+        raise UndefinedRatioError("homophily ratio of an empty subgraph is undefined")
     known = (labels[rows] >= 0) & (labels[cols] >= 0)
     counted = int(known.sum())
+    if counted == 0:
+        raise UndefinedRatioError("homophily ratio undefined: no edge has both endpoints labeled")
     same = int(((labels[rows] == labels[cols]) & known).sum())
-    return same, counted, total
+    return Homophily(same / counted, total, counted / total)
 
 
 def homophily_ratio(sub: MetaPathSubgraph, labels: np.ndarray) -> float:
-    """Fraction of edges joining same-label endpoints. Edges with an
-    unlabeled endpoint are excluded from numerator and denominator."""
-    same, counted, total = edge_label_counts(sub, labels)
-    if total == 0:
-        raise UndefinedRatioError("homophily ratio of an empty subgraph is undefined")
-    if counted == 0:
-        raise UndefinedRatioError("homophily ratio undefined: no edge has both endpoints labeled")
-    return same / counted
+    """Fraction of edges joining same-label endpoints (see path_homophily)."""
+    return path_homophily(sub, labels).ratio
 
 
-def hg_homophily(g: HeteroGraph, max_len: int, symmetrize: bool = True) -> tuple[float, MetaPath]:
+def measure_paths(
+    g: HeteroGraph, paths: Iterable[MetaPath]
+) -> Iterator[tuple[MetaPath, MetaPathSubgraph, Homophily | None]]:
+    """Compose each path (symmetrized) and measure its homophily; None marks
+    a subgraph without a countable edge. Lazy, so that only one composed
+    subgraph is held at a time."""
+    for path in paths:
+        sub = compose_metapath(g, path, symmetrize=True)
+        try:
+            h = path_homophily(sub, g.labels)
+        except UndefinedRatioError:
+            h = None
+        yield path, sub, h
+
+
+def max_homophily(measured: Iterable[tuple[Homophily | None, Any]]) -> tuple[float, Any]:
+    """The meta-path homophily mh: the largest ratio over the measurable
+    entries, with the key of the first entry attaining it. Raises
+    UndefinedRatioError when no entry is measurable."""
+    best = None
+    for h, key in measured:
+        if h is not None and (best is None or h.ratio > best[0]):
+            best = (h.ratio, key)
+    if best is None:
+        raise UndefinedRatioError("no meta-path has a measurable homophily ratio")
+    return best
+
+
+def hg_homophily(g: HeteroGraph, max_len: int) -> tuple[float, MetaPath]:
     """Maximum homophily ratio over all meta-path subgraphs up to max_len,
     with the path attaining it. Paths with no countable edges are skipped."""
-    best: tuple[float, MetaPath] | None = None
-    for path in enumerate_metapaths(g.schema, g.target_type, max_len):
-        sub = compose_metapath(g, path, symmetrize=symmetrize)
-        try:
-            hr = homophily_ratio(sub, g.labels)
-        except UndefinedRatioError:
-            continue
-        if best is None or hr > best[0]:
-            best = (hr, path)
-    if best is None:
-        raise UndefinedRatioError(f"no meta-path up to length {max_len} has a measurable subgraph")
-    return best
+    paths = enumerate_metapaths(g.schema, g.target_type, max_len)
+    return max_homophily((h, path) for path, _, h in measure_paths(g, paths))

@@ -139,14 +139,14 @@ def score_candidates(
             hop = hop_buf[: stop - start]
             np.matmul(u[start:stop], u_t, out=hop)
             sim *= hop
-        sim[local, local + start] = -2.0  # self pairs never qualify
+        sim[local, local + start] = -np.inf  # self pairs never qualify, whatever epsilon
         if cfg.restrict_two_hop:
             blk = adj[start:stop]
             reach = (blk + blk @ adj).tocsr()
             blocked = blocked_buf[: stop - start]
             blocked.fill(True)
             blocked[np.repeat(local, np.diff(reach.indptr)), reach.indices] = False
-            np.copyto(sim, -2.0, where=blocked)
+            np.copyto(sim, -np.inf, where=blocked)
         rows, cols, vals = _block_top_k(sim, k, floor)
         parts.append((rows + start, cols, vals))
 
@@ -200,7 +200,7 @@ def rewire_metapath(
 
     # both directions of every kept pair: the result is symmetric as built
     lo, hi = np.divmod(np.union1d(existing[~low], keys[new]), n)
-    new_adj = CsrMatrix.from_coo(np.concatenate([lo, hi]), np.concatenate([hi, lo]), (n, n), None)
+    new_adj = CsrMatrix.from_coo(np.concatenate([lo, hi]), np.concatenate([hi, lo]), (n, n))
     return MetaPathSubgraph(path=sub.path, adjacency=new_adj, symmetric=True), plan
 
 

@@ -126,7 +126,6 @@ def _symmetric_csr(pairs: set[tuple[int, int]], n: int) -> CsrMatrix:
         np.concatenate([arr[:, 0], arr[:, 1]]),
         np.concatenate([arr[:, 1], arr[:, 0]]),
         (n, n),
-        None,
     )
 
 
@@ -134,7 +133,7 @@ def _bipartite_csr(pairs: set[tuple[int, int]], n_src: int, n_dst: int) -> CsrMa
     if not pairs:
         return CsrMatrix.empty(n_src, n_dst)
     arr = np.array(sorted(pairs), dtype=np.int64)
-    return CsrMatrix.from_coo(arr[:, 0], arr[:, 1], (n_src, n_dst), None)
+    return CsrMatrix.from_coo(arr[:, 0], arr[:, 1], (n_src, n_dst))
 
 
 def synth_generate(cfg: SynthConfig) -> HeteroGraph:

@@ -3,7 +3,7 @@
 For one meta-path subgraph this module propagates node attributes and one-hot
 train labels through the row-normalized adjacency (k hops), centers every hop
 by its column mean, and exposes pairwise products of hop cosines. Pairs are
-evaluated lazily; full matrices only materialize below a size cutoff.
+evaluated lazily, one rows x cols window at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DataError
 from .graph import HeteroGraph
 from .metapath import MetaPathSubgraph
-from .sparse import row_normalize, spmm
+from .sparse import row_normalize
 
 ZERO_NORM_CUTOFF = 1e-12
 
@@ -24,7 +24,6 @@ ZERO_NORM_CUTOFF = 1e-12
 class TargetsConfig:
     num_hops: int = 1
     alpha: float = 0.6
-    dense_cutoff: int = 20_000
 
     def __post_init__(self):
         if self.num_hops < 1:
@@ -64,13 +63,13 @@ def neighborhood_distributions(
     attr, label = [], []
     cur_x, cur_y = x, y
     for _ in range(cfg.num_hops):
-        cur_x = spmm(walk, cur_x)
-        cur_y = spmm(walk, cur_y)
+        cur_x = walk @ cur_x
+        cur_y = walk @ cur_y
         attr.append(cur_x)
         label.append(cur_y)
 
     degree = np.diff(sub.adjacency.row_offsets).astype(np.float64)
-    train_neighbors = spmm(sub.adjacency, train_labeled.astype(np.float64)).ravel()
+    train_neighbors = sub.adjacency.to_scipy() @ train_labeled.astype(np.float64)
     frac = np.where(degree > 0, train_neighbors / np.where(degree > 0, degree, 1.0), 0.0)
     return DistributionFeatures(
         attr=tuple(attr),
@@ -78,11 +77,6 @@ def neighborhood_distributions(
         train_neighbor_frac=frac,
         mask=frac > cfg.alpha,
     )
-
-
-def label_mask(df: DistributionFeatures, alpha: float) -> np.ndarray:
-    """Nodes whose labeled-neighbor fraction strictly exceeds alpha."""
-    return df.train_neighbor_frac > alpha
 
 
 def centered_cosine(x: np.ndarray, y: np.ndarray, mean: np.ndarray) -> float:
@@ -97,18 +91,19 @@ def centered_cosine(x: np.ndarray, y: np.ndarray, mean: np.ndarray) -> float:
     return float(cx @ cy) / (nx * ny)
 
 
-def centered_unit_rows(mat: np.ndarray) -> np.ndarray:
-    """Center columns by their mean, then scale rows to unit norm.
+def centered_unit_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Center columns by their mean, then scale rows to unit norm; returns
+    the unit rows and the centered norms.
 
     Rows whose centered norm falls under the zero cutoff become zero rows, so
     any dot product against them is exactly 0 (the degenerate-pair value).
     """
     centered = mat - mat.mean(axis=0)
-    norms = np.linalg.norm(centered, axis=1, keepdims=True)
+    norms = np.linalg.norm(centered, axis=1)
     safe = np.where(norms < ZERO_NORM_CUTOFF, 1.0, norms)
-    units = centered / safe
-    units[norms.ravel() < ZERO_NORM_CUTOFF] = 0.0
-    return units
+    units = centered / safe[:, None]
+    units[norms < ZERO_NORM_CUTOFF] = 0.0
+    return units, norms
 
 
 class SimilarityTargets:
@@ -119,12 +114,11 @@ class SimilarityTargets:
     evaluate rows x cols windows without materializing the full matrix.
     """
 
-    def __init__(self, df: DistributionFeatures, cfg: TargetsConfig):
+    def __init__(self, df: DistributionFeatures):
         self.df = df
-        self._attr_units = tuple(centered_unit_rows(m) for m in df.attr)
-        self._label_units = tuple(centered_unit_rows(m) for m in df.label)
+        self._attr_units = tuple(centered_unit_rows(m)[0] for m in df.attr)
+        self._label_units = tuple(centered_unit_rows(m)[0] for m in df.label)
         self.mask = df.mask.astype(np.float64)
-        self.dense_cutoff = cfg.dense_cutoff
         self.n = df.attr[0].shape[0]
         self.num_hops = df.num_hops
         self._full_cache: dict[str, np.ndarray] = {}
@@ -176,25 +170,9 @@ class SimilarityTargets:
     def pair_mask(self, i: int, j: int) -> float:
         return float(self.mask[i] * self.mask[j])
 
-    def _guard_dense(self) -> np.ndarray:
-        if self.n > self.dense_cutoff:
-            raise MemoryError(
-                f"refusing to materialize a {self.n}x{self.n} similarity matrix "
-                f"(dense cutoff {self.dense_cutoff}); use block accessors"
-            )
-        return np.arange(self.n)
-
-    def attr_matrix(self) -> np.ndarray:
-        idx = self._guard_dense()
-        return self.attr_block(idx, idx)
-
-    def label_matrix(self) -> np.ndarray:
-        idx = self._guard_dense()
-        return self.label_block(idx, idx)
-
 
 def similarity_targets(
     sub: MetaPathSubgraph, g: HeteroGraph, cfg: TargetsConfig
 ) -> tuple[DistributionFeatures, SimilarityTargets]:
     df = neighborhood_distributions(sub, g, cfg)
-    return df, SimilarityTargets(df, cfg)
+    return df, SimilarityTargets(df)

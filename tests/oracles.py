@@ -246,6 +246,14 @@ def two_objective_closed_form(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return np.array([gamma, 1.0 - gamma])
 
 
+def model_similarity(m: SimilarityModel, path: MetaPath, i: int, j: int) -> float:
+    """Product over hops of centered cosine between nodes i and j."""
+    out = 1.0
+    for rep in _path_reps(m, path):
+        out *= float(rep.units[i] @ rep.units[j])
+    return out
+
+
 def scan_candidates_per_row(
     m: SimilarityModel,
     path: MetaPath,
@@ -256,7 +264,7 @@ def scan_candidates_per_row(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Candidate scan one row at a time: score blocks as ``units[rows] @
     units.T`` products, mask self pairs (and, given ``sub``, everything
-    beyond two hops) to -2, then sort every entry above epsilon by
+    beyond two hops) to -inf, then sort every entry above epsilon by
     (-score, index) and keep edge_budget of them. Returns per-row index and
     score arrays."""
     n = m.graph.target_count
@@ -272,9 +280,9 @@ def scan_candidates_per_row(
         sim = np.ones((len(rows), n))
         for rep in reps:
             sim *= rep.units[rows] @ rep.units.T
-        sim[np.arange(len(rows)), rows] = -2.0
+        sim[np.arange(len(rows)), rows] = -np.inf
         if sub is not None:
-            sim[~reach[rows]] = -2.0
+            sim[~reach[rows]] = -np.inf
         for local in range(len(rows)):
             row = sim[local]
             eligible = np.flatnonzero(row > epsilon)

@@ -5,6 +5,7 @@ import pytest
 
 from hgrw.cli import main
 from hgrw.dataio import load_graph, save_graph
+from hgrw.metapath import compose_metapath, enumerate_metapaths, path_label
 from conftest import make_graph, symmetric_edges
 from test_dataio import graphs_equal
 
@@ -82,6 +83,7 @@ BAD_FLAGS = [
     ("train", ["--epochs-attr", "0"]),
     ("train", ["--k1", "0"]),
     ("train", ["--alpha", "2"]),
+    ("train", ["--seed", "-1"]),
     ("inspect", ["--max-path-len", "0"]),
     ("train", ["--max-path-len", "0"]),
     ("diag", ["--max-path-len", "0"]),
@@ -103,6 +105,46 @@ def test_rejected_flag_value_is_usage_error(command, flags, dataset, trained_mod
     }[command]
     assert main([command, dataset, *extra, *flags]) == 1
     assert capsys.readouterr().err.startswith("hgrw: usage error:")
+
+
+def _edit_header(edit):
+    """A checkpoint corruption that rewrites the JSON header with ``edit``."""
+
+    def corrupt(raw: bytes) -> bytes:
+        hlen = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + hlen])
+        edit(header)
+        blob = json.dumps(header).encode()
+        return raw[:4] + len(blob).to_bytes(4, "little") + blob + raw[8 + hlen :]
+
+    return corrupt
+
+
+def _concat_mode_with_text_alpha(header: dict) -> None:
+    header["config"]["concat_distribution_features"] = True
+    header["meta"]["targets"]["alpha"] = "x"
+
+
+BAD_CHECKPOINTS = {
+    "unknown config key": _edit_header(lambda h: h["config"].update(bogus=1)),
+    "missing paths": _edit_header(lambda h: h.pop("paths")),
+    "missing config field": _edit_header(lambda h: h["config"].pop("concat_distribution_features")),
+    "config value of the wrong type": _edit_header(lambda h: h["config"].update(seed="a")),
+    "magic only": lambda raw: raw[:4],
+    "malformed header json": lambda raw: raw[:8] + b"[" + raw[9:],
+    "trailing bytes": lambda raw: raw + bytes(16),
+    "truncated parameters": lambda raw: raw[:-8],
+    "bad targets metadata": _edit_header(_concat_mode_with_text_alpha),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CHECKPOINTS))
+def test_malformed_checkpoint_is_data_error(case, dataset, trained_model, tmp_path, capsys):
+    bad = tmp_path / "bad.msl"
+    with open(trained_model, "rb") as fh:
+        bad.write_bytes(BAD_CHECKPOINTS[case](fh.read()))
+    assert main(["rewire", dataset, "--model", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("hgrw: data error:")
 
 
 class TestTrain:
@@ -155,6 +197,22 @@ class TestRewire:
         )
         assert rc == 0
         assert graphs_equal(load_graph(dataset), load_graph(out))
+
+    def test_two_hop_additions_stay_within_two_hops(self, dataset, trained_model, tmp_path):
+        # an epsilon below every cosine product must not admit masked partners
+        out = str(tmp_path / "rw")
+        assert main(["rewire", dataset, "--model", trained_model, "--out", out, "--two-hop-only",
+                     "--epsilon", "-3", "--edge-budget", "150"]) == 0
+        g = load_graph(dataset)
+        reach = {}
+        for path in enumerate_metapaths(g.schema, g.target_type, 1):
+            adj = compose_metapath(g, path).adjacency.to_dense().astype(int)
+            reach[path_label(g.schema, path)] = (adj + adj @ adj) > 0
+        with open(os.path.join(out, "rewire_plan.tsv")) as fh:
+            rows = [line.split("\t") for line in fh.read().splitlines()[1:]]
+        adds = [(label, int(i), int(j)) for label, op, i, j, _ in rows if op == "add"]
+        assert adds
+        assert all(reach[label][i, j] for label, i, j in adds)
 
     def test_missing_model_is_data_error(self, dataset, tmp_path):
         assert main(["rewire", dataset, "--model", str(tmp_path / "nope.msl"),

@@ -1,8 +1,10 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
+from hgrw.cli import main
 from hgrw.dataio import load_graph, read_features_bin, save_graph, write_features_bin
 from hgrw.errors import DataError
 from hgrw.graph import TRAIN
@@ -23,6 +25,19 @@ def toy_graph():
         labels=[0, 1, -1],
         num_classes=2,
     )
+
+
+def use_tsv_features(directory, features) -> None:
+    """Replace every binary feature file of a saved dataset with a TSV one."""
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    for row, x in zip(manifest["node_types"], features):
+        row["feature_file"] = row["feature_file"].replace(".bin", ".tsv")
+        with open(os.path.join(directory, row["feature_file"]), "w") as fh:
+            fh.writelines("\t".join(f"{float(v):.9g}" for v in r) + "\n" for r in x)
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
 
 
 def graphs_equal(a, b) -> bool:
@@ -54,9 +69,10 @@ class TestRoundTrip:
 
     def test_tsv_feature_alternative(self, tmp_path):
         g = toy_graph()
-        save_graph(g, str(tmp_path / "ds"), features_as_tsv=True)
-        loaded = load_graph(str(tmp_path / "ds"))
-        assert graphs_equal(g, loaded)
+        d = str(tmp_path / "ds")
+        save_graph(g, d)
+        use_tsv_features(d, g.features)
+        assert graphs_equal(g, load_graph(d))
 
     def test_feature_bin_format(self, tmp_path):
         x = np.arange(6, dtype=np.float32).reshape(2, 3)
@@ -106,6 +122,17 @@ class TestLoadErrors:
             fh.write("2\tdev\n")
         with pytest.raises(DataError, match="splits"):
             load_graph(d)
+
+    def test_non_finite_feature_rejected(self, tmp_path):
+        g = toy_graph()
+        d = str(tmp_path / "ds")
+        save_graph(g, d)
+        features = [x.copy() for x in g.features]
+        features[0][1, 2] = np.nan
+        use_tsv_features(d, features)
+        with pytest.raises(DataError, match="node 1 has a non-finite value"):
+            load_graph(d)
+        assert main(["inspect", d]) == 2
 
     def test_feature_count_mismatch(self, tmp_path):
         g = toy_graph()

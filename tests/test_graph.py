@@ -25,7 +25,7 @@ def test_well_formed_graph_has_no_violations():
 
 def test_edge_index_out_of_range_is_reported():
     g = two_type_graph()
-    bad = CsrMatrix(3, 2, np.array([0, 1, 1, 1]), np.array([5]), None)
+    bad = CsrMatrix(3, 2, np.array([0, 1, 1, 1]), np.array([5]))
     g = g.__class__(
         schema=g.schema,
         adjacency=(bad, g.adjacency[1]),

@@ -7,24 +7,22 @@ from hgrw.learner import (
     LearnerConfig,
     PairBatch,
     SimilarityModel,
-    encode,
     full_batch,
     gradients,
     load_model,
-    model_similarity,
     pair_loss,
-    read_checkpoint_header,
+    read_checkpoint,
     save_model,
     similarity_block,
     train,
 )
 from hgrw.metapath import MetaPath, compose_metapath, enumerate_metapaths
-from hgrw.sparse import row_normalize, spmm
+from hgrw.sparse import row_normalize
 from hgrw.synth import SynthConfig, synth_generate
 from hgrw.targets import TargetsConfig, similarity_targets
 
 from conftest import make_graph, symmetric_edges
-from oracles import fd_gradients
+from oracles import fd_gradients, model_similarity
 
 
 class StaticTargets:
@@ -64,7 +62,7 @@ class TestEncode:
     def test_empty_graph_propagates_zero(self):
         g = make_graph({"n": 3}, [("r", "n", "n", [])], "n", labels=[0, 1, 0])
         model = SimilarityModel(g, [MetaPath((0,))], LearnerConfig(hidden_dim=2, num_hops=1))
-        z = encode(g, model)
+        z = model.encodings()
         assert len(z) == 1
         assert np.all(z[0] == 0.0)
 
@@ -73,8 +71,8 @@ class TestEncode:
         g = make_graph({"n": 3}, [("r", "n", "n", edges)], "n", labels=[0, 1, 0], feature_dim=3)
         model = SimilarityModel(g, [MetaPath((0,))], LearnerConfig(hidden_dim=3, num_hops=1))
         model.set_param(("in", 0), np.eye(3))
-        z = encode(g, model)[0]
-        expected = spmm(row_normalize(g.adjacency[0]), g.features[0].astype(np.float64))
+        z = model.encodings()[0]
+        expected = row_normalize(g.adjacency[0]) @ g.features[0].astype(np.float64)
         assert np.allclose(z, expected, atol=1e-12)
 
     def test_mixed_input_dims_share_hidden_space(self):
@@ -98,14 +96,8 @@ class TestEncode:
             num_classes=2,
         )
         model = SimilarityModel(g, [MetaPath((0, 1))], LearnerConfig(hidden_dim=6, num_hops=2))
-        z = encode(g, model)
+        z = model.encodings()
         assert z[0].shape == (5, 6) and z[1].shape == (5, 6)
-
-    def test_wrong_schema_rejected(self):
-        g, paths, _, model = planted_instance()
-        other = make_graph({"n": 3}, [("r", "n", "n", [])], "n", labels=[0, 1, 0])
-        with pytest.raises(DataError):
-            encode(other, model)
 
     def test_cache_tracks_parameter_updates(self):
         g, paths, _, model = planted_instance()
@@ -298,7 +290,7 @@ class TestCheckpoint:
         g, paths, targets, model = planted_instance(n=20)
         fn = str(tmp_path / "model.msl")
         save_model(model, fn)
-        header = read_checkpoint_header(fn)
+        header = read_checkpoint(fn).header
         assert header["paths"] == [list(p.relation_ids) for p in paths]
 
     def test_schema_mismatch_rejected(self, tmp_path):
@@ -314,4 +306,4 @@ class TestCheckpoint:
         fn.write_bytes(b"NOPE" + b"\x00" * 16)
         g, *_ = planted_instance(n=20)
         with pytest.raises(DataError):
-            read_checkpoint_header(str(fn))
+            read_checkpoint(str(fn))

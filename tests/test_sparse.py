@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hgrw.sparse import CsrMatrix, bool_spgemm, drop_diagonal, row_normalize, spmm, symmetrize_union
+from hgrw.sparse import CsrMatrix, bool_spgemm, drop_diagonal, row_normalize, symmetrize_union
 
 from oracles import csr_first_unsorted_row, dense_bool_product, dense_matmul
 
 
-def random_csr(rng: np.random.Generator, n_rows: int, n_cols: int, density: float = 0.2, boolean=True):
+def random_csr(rng: np.random.Generator, n_rows: int, n_cols: int, density: float = 0.2):
     dense = (rng.random((n_rows, n_cols)) < density).astype(float)
-    if not boolean:
-        dense *= rng.random((n_rows, n_cols)) * 4.0
-    return CsrMatrix.from_dense(dense, boolean=boolean), dense
+    return CsrMatrix.from_coo(*np.nonzero(dense), dense.shape), dense
 
 
 class TestCsrMatrix:
@@ -21,30 +19,26 @@ class TestCsrMatrix:
         assert m.nnz == 3  # duplicate (1,2) collapsed
         assert m.row_cols(1).tolist() == [0, 2]
 
-    def test_weighted_duplicates_sum(self):
-        m = CsrMatrix.from_coo([0, 0], [1, 1], (1, 2), values=[2.0, 3.0])
-        assert m.values.tolist() == [5.0]
-
     def test_transpose_round_trip(self):
         rng = np.random.default_rng(3)
         m, dense = random_csr(rng, 7, 5)
         assert np.array_equal(m.transpose().to_dense(), (dense > 0).T)
 
     def test_check_flags_bad_offsets(self):
-        m = CsrMatrix(2, 2, np.array([0, 2, 1]), np.array([0, 1]), None)
+        m = CsrMatrix(2, 2, np.array([0, 2, 1]), np.array([0, 1]))
         assert any("row_offsets" in msg for msg in m.check())
 
 
     def test_check_allows_decrease_across_row_boundary(self):
-        m = CsrMatrix(3, 4, np.array([0, 2, 2, 4]), np.array([1, 3, 0, 2]), None)
+        m = CsrMatrix(3, 4, np.array([0, 2, 2, 4]), np.array([1, 3, 0, 2]))
         assert m.check() == []
 
     def test_check_reports_repeat_after_empty_rows(self):
-        m = CsrMatrix(5, 4, np.array([0, 1, 1, 1, 3, 4]), np.array([2, 1, 1, 0]), None)
+        m = CsrMatrix(5, 4, np.array([0, 1, 1, 1, 3, 4]), np.array([2, 1, 1, 0]))
         assert m.check(label="r") == ["r: row 3 columns not strictly increasing"]
 
     def test_check_reports_unsorted_last_row(self):
-        m = CsrMatrix(2, 4, np.array([0, 2, 5]), np.array([0, 3, 1, 3, 2]), None)
+        m = CsrMatrix(2, 4, np.array([0, 2, 5]), np.array([0, 3, 1, 3, 2]))
         assert m.check() == ["csr: row 1 columns not strictly increasing"]
 
     @given(seed=st.integers(0, 10**6))
@@ -58,7 +52,7 @@ class TestCsrMatrix:
             offsets = np.concatenate([[0], inner, [nnz]]) if n_rows else np.array([0])
         else:  # broken offsets are read with slice rules
             offsets = rng.integers(-nnz - 2, nnz + 3, size=n_rows + 1)
-        m = CsrMatrix(n_rows, 5, offsets.astype(np.int64), cols.astype(np.int64), None)
+        m = CsrMatrix(n_rows, 5, offsets.astype(np.int64), cols.astype(np.int64))
         row = csr_first_unsorted_row(m.row_offsets, m.col_indices)
         flagged = [msg for msg in m.check() if "strictly increasing" in msg]
         assert flagged == ([] if row is None else [f"csr: row {row} columns not strictly increasing"])
@@ -68,53 +62,51 @@ class TestRowNormalize:
     def test_uniform_row(self):
         m = CsrMatrix.from_coo([0] * 4, [0, 1, 2, 3], (1, 4))
         out = row_normalize(m)
-        assert np.allclose(out.values, 0.25)
+        assert np.allclose(out.data, 0.25)
 
     def test_empty_row_stays_empty(self):
         m = CsrMatrix.from_coo([0, 0], [0, 1], (3, 2))
         out = row_normalize(m)
-        assert out.row_offsets[1] == out.row_offsets[2] == out.row_offsets[3]
-
-    def test_weighted_row(self):
-        # row [2, 0, 3] normalizes to [0.4, 0, 0.6]
-        m = CsrMatrix.from_coo([0, 0], [0, 2], (1, 3), values=[2.0, 3.0])
-        out = row_normalize(m)
-        assert np.allclose(out.values, [0.4, 0.6])
+        assert out.indptr[1] == out.indptr[2] == out.indptr[3]
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_rows_sum_to_one_or_zero(self, seed):
         rng = np.random.default_rng(seed)
-        m, _ = random_csr(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)), boolean=False)
-        sums = row_normalize(m).to_scipy().sum(axis=1)
+        m, _ = random_csr(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+        sums = row_normalize(m).sum(axis=1)
         for s in np.asarray(sums).ravel():
             assert abs(s - 1.0) < 1e-12 or s == 0.0
 
     def test_normalized_times_ones_is_binary(self):
         rng = np.random.default_rng(9)
         m, _ = random_csr(rng, 10, 10, density=0.3)
-        out = spmm(row_normalize(m), np.ones(10)).ravel()
+        out = row_normalize(m) @ np.ones(10)
         assert np.all((np.abs(out - 1.0) < 1e-12) | (out == 0.0))
 
 
 class TestSpmm:
+    """Products with the walk operator that row_normalize returns."""
+
     def test_identity(self):
         x = np.arange(12.0).reshape(4, 3)
-        assert np.array_equal(spmm(CsrMatrix.identity(4), x), x)
+        assert np.array_equal(row_normalize(CsrMatrix.identity(4)) @ x, x)
 
     def test_zero_matrix(self):
         x = np.ones((4, 2))
-        assert np.array_equal(spmm(CsrMatrix.empty(3, 4), x), np.zeros((3, 2)))
+        assert np.array_equal(row_normalize(CsrMatrix.empty(3, 4)) @ x, np.zeros((3, 2)))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
-        m, dense = random_csr(rng, 8, 8, density=12 / 64, boolean=False)
+        m, dense = random_csr(rng, 8, 8, density=12 / 64)
+        deg = dense.sum(axis=1, keepdims=True)
+        walk = np.divide(dense, deg, out=np.zeros_like(dense), where=deg > 0)
         x = rng.standard_normal((8, 5))
-        assert np.allclose(spmm(m, x), dense_matmul(dense, x), atol=1e-12)
+        assert np.allclose(row_normalize(m) @ x, dense_matmul(walk, x), atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            spmm(CsrMatrix.empty(2, 3), np.ones((4, 1)))
+            row_normalize(CsrMatrix.empty(2, 3)) @ np.ones((4, 1))
 
 
 class TestBoolSpgemm:

@@ -8,7 +8,6 @@ from hgrw.targets import (
     SimilarityTargets,
     TargetsConfig,
     centered_cosine,
-    label_mask,
     neighborhood_distributions,
     similarity_targets,
 )
@@ -86,11 +85,11 @@ class TestCenteredCosine:
 class TestLabelMask:
     def test_alpha_one_masks_everything(self, star_graph):
         df = star_distributions(star_graph)
-        assert not label_mask(df, 1.0).any()
+        assert not (df.train_neighbor_frac > 1.0).any()
 
     def test_alpha_zero_keeps_nodes_with_train_neighbors(self, star_graph):
         df = star_distributions(star_graph)
-        mask = label_mask(df, 0.0)
+        mask = df.train_neighbor_frac > 0.0
         # only the center sees train neighbors; every leaf sees just the
         # untrained center
         assert mask.tolist() == [True, False, False, False]
@@ -100,7 +99,7 @@ class TestLabelMask:
     def test_monotone_in_alpha(self, a, b):
         df = star_distributions(build_star())
         lo, hi = min(a, b), max(a, b)
-        assert np.all(label_mask(df, hi) <= label_mask(df, lo))
+        assert np.all((df.train_neighbor_frac > hi) <= (df.train_neighbor_frac > lo))
 
 
 class TestSimilarityTargets:
@@ -164,7 +163,8 @@ class TestSimilarityTargets:
 
     def test_lazy_blocks_equal_dense_matrix(self):
         _, tg = self.build(n=30, seed=5)
-        full = tg.attr_matrix()
+        idx = np.arange(30)
+        full = tg.attr_block(idx, idx)
         rows = np.array([3, 7, 11])
         cols = np.array([0, 2, 29])
         assert np.array_equal(tg.attr_block(rows, cols), full[np.ix_(rows, cols)])
@@ -194,12 +194,3 @@ class TestSimilarityTargets:
         t1 = similarity_targets(compose_metapath(base, MetaPath((0,))), base, cfg)[1]
         t2 = similarity_targets(compose_metapath(shifted, MetaPath((0,))), shifted, cfg)[1]
         assert np.allclose(t1.attr_block(idx, idx), t2.attr_block(idx, idx), atol=1e-9)
-
-    def test_dense_cutoff_guard(self):
-        g, _ = self.build(n=20)
-        sub = compose_metapath(g, MetaPath((0,)))
-        _, tg = similarity_targets(sub, g, TargetsConfig(num_hops=1, alpha=0.3, dense_cutoff=10))
-        with pytest.raises(MemoryError):
-            tg.attr_matrix()
-        # block access stays available
-        tg.attr_block(np.array([0, 1]), np.array([2, 3]))
