@@ -10,6 +10,7 @@ feature bytes identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -43,6 +44,22 @@ def _safe_name(name: str, taken: set[str]) -> str:
         k += 1
     taken.add(out)
     return out
+
+
+@contextlib.contextmanager
+def atomic_write(filename: str, mode: str = "w", **kwargs):
+    """Write through a sibling temporary file that replaces ``filename`` only
+    once the block completes. If the block raises, the temporary is removed
+    and whatever ``filename`` held before is left unchanged."""
+    tmp = filename + ".tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, filename)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_features_bin(x: np.ndarray, filename: str) -> None:

@@ -7,6 +7,11 @@ per meta-path per hop. Pair similarity is the product over hops of centered
 cosines, trained against the targets module with exact hand-derived
 gradients; a min-norm solver balances the per-path objectives.
 
+A one-hop model computes a window's losses and its backward pass to the unit
+rows from n x w Gram products of the unit rows and the target factors, never
+forming a rows x cols array; models with two or more hops use the dense
+window, whose Hadamard product over hops has no small factored form.
+
 Parameter order (used for gradient flattening and checkpoints): input
 projections by ascending node type id, then for each meta-path in model
 order its per-hop projections.
@@ -23,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dataio import atomic_write
 from .errors import DataError, NumericError
 from .graph import HeteroGraph
 from .metapath import MetaPath
@@ -243,32 +249,27 @@ def _scatter_add(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
         np.add.at(out, idx, rows)
 
 
-def gradients(
-    m: SimilarityModel,
-    path: MetaPath,
-    batch: PairBatch,
+def _pick(x: np.ndarray, idx: np.ndarray, full: bool) -> np.ndarray:
+    return x if full else x[idx]
+
+
+# Per hop, the backward terms of a window with hop cosines S_k = A_k B_k^T
+# and loss gradient L_k with respect to S_k (the other hops' factors folded
+# in): L_k B_k, L_k^T A_k and the row and column sums of L_k * S_k.
+_HopTerms = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _dense_window(
+    row_units: list[np.ndarray],
+    col_units: list[np.ndarray],
     targets: SimilarityTargets,
-    include_attr: bool = True,
-    include_label: bool = True,
-) -> GradientResult:
-    """Exact gradients of the selected loss terms for one meta-path.
-
-    The backward pass mirrors the forward chain: residual -> hop cosines
-    (leave-one-out products) -> unit rows -> centering -> per-hop projection
-    -> encoder propagation -> input projections.
-    """
-    pidx = m.path_index[path]
-    reps = _path_reps(m, path)
-    rows, cols = batch.rows, batch.cols
-    k_hops = m.cfg.num_hops
-    d = m.cfg.hidden_dim
-    n_target = m.graph.target_count
-    arange = np.arange(n_target)
-    full_rows = rows.size == n_target and np.array_equal(rows, arange)
-    full_cols = cols.size == n_target and np.array_equal(cols, arange)
-
-    row_units = [rep.units if full_rows else rep.units[rows] for rep in reps]
-    col_units = [rep.units if full_cols else rep.units[cols] for rep in reps]
+    rows: np.ndarray,
+    cols: np.ndarray,
+    include_attr: bool,
+    include_label: bool,
+) -> tuple[float, float, list[_HopTerms]]:
+    """Losses and per-hop backward terms from the explicit rows x cols window;
+    any number of hops (leave-one-out products over the hop cosines)."""
     hop_sims = [a @ b.T for a, b in zip(row_units, col_units)]
     s = hop_sims[0]
     for hs in hop_sims[1:]:
@@ -289,25 +290,128 @@ def gradients(
     else:
         g_s = np.zeros_like(s)
 
+    terms = []
+    for k, sk in enumerate(hop_sims):
+        loo = g_s
+        for l in range(len(hop_sims)):
+            if l != k:
+                loo = loo * hop_sims[l]
+        loo_s = loo * sk
+        terms.append((loo @ col_units[k], loo.T @ row_units[k], loo_s.sum(axis=1), loo_s.sum(axis=0)))
+    return l1, l2, terms
+
+
+def _factored_window(
+    a: np.ndarray,
+    b: np.ndarray,
+    targets: SimilarityTargets,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    full_rows: bool,
+    full_cols: bool,
+    include_attr: bool,
+    include_label: bool,
+) -> tuple[float, float, list[_HopTerms]]:
+    """One-hop losses and backward terms from Gram products, never a rows x
+    cols array.
+
+    With S = A B^T, attribute targets P Q^T and label targets Vr Vc^T under
+    the pair mask mr mc^T, and X~ the rows of X times the mask:
+    l1 = <A^T A, B^T B> - 2 <P^T A, Q^T B> + <P^T P, Q^T Q>, l2 the same sum
+    with one side of each Gram masked, and for the loss gradient G
+    G B = 2 (A B^T B - P Q^T B) + 2 mr * (A B~^T B - Vr Vc~^T B), G^T A its
+    mirror image. Row sums of G * S are the rowwise dots of G B with A,
+    column sums those of G^T A with B. A full window pairs every row with
+    every row, so its column side repeats the row side.
+    """
+    attr, label, mask = targets.one_hop_factors()
+    same = full_rows and full_cols
+    p, q = _pick(attr, rows, full_rows), _pick(attr, cols, full_cols)
+    vr, vc = _pick(label, rows, full_rows), _pick(label, cols, full_cols)
+    mr = _pick(mask, rows, full_rows)[:, None]
+    mc = _pick(mask, cols, full_cols)[:, None]
+    mvr = mr * vr
+    aa, pa, maa, va = a.T @ a, p.T @ a, (mr * a).T @ a, mvr.T @ a
+    pp, vv = p.T @ p, mvr.T @ vr
+    if same:
+        bb, qb, mbb, vb, qq, ww = aa, pa, maa, va, pp, vv
+    else:
+        mvc = mc * vc
+        bb, qb, mbb, vb = b.T @ b, q.T @ b, (mc * b).T @ b, mvc.T @ b
+        qq, ww = q.T @ q, mvc.T @ vc
+    # the Gram form can round just below zero at an exact fit
+    l1 = max(0.0, float(np.vdot(aa, bb) - 2.0 * np.vdot(pa, qb) + np.vdot(pp, qq)))
+    l2 = max(0.0, float(np.vdot(maa, mbb) - 2.0 * np.vdot(va, vb) + np.vdot(vv, ww)))
+
+    gb = np.zeros_like(a)
+    if include_attr:
+        gb += 2.0 * (a @ bb - p @ qb)
+    if include_label:
+        gb += 2.0 * mr * (a @ mbb - vr @ vb)
+    gs_rows = np.einsum("ij,ij->i", gb, a)
+    if same:
+        return l1, l2, [(gb, gb, gs_rows, gs_rows)]
+    ga = np.zeros_like(b)
+    if include_attr:
+        ga += 2.0 * (b @ aa - q @ pa)
+    if include_label:
+        ga += 2.0 * mc * (b @ maa - vc @ va)
+    return l1, l2, [(gb, ga, gs_rows, np.einsum("ij,ij->i", ga, b))]
+
+
+def gradients(
+    m: SimilarityModel,
+    path: MetaPath,
+    batch: PairBatch,
+    targets: SimilarityTargets,
+    include_attr: bool = True,
+    include_label: bool = True,
+) -> GradientResult:
+    """Exact gradients of the selected loss terms for one meta-path.
+
+    The backward pass mirrors the forward chain: residual -> hop cosines
+    (leave-one-out products) -> unit rows -> centering -> per-hop projection
+    -> encoder propagation -> input projections. A one-hop model takes the
+    window part from Gram products (_factored_window), a deeper one from the
+    dense window (_dense_window).
+    """
+    pidx = m.path_index[path]
+    reps = _path_reps(m, path)
+    rows, cols = batch.rows, batch.cols
+    k_hops = m.cfg.num_hops
+    d = m.cfg.hidden_dim
+    n_target = m.graph.target_count
+    arange = np.arange(n_target)
+    full_rows = rows.size == n_target and np.array_equal(rows, arange)
+    full_cols = cols.size == n_target and np.array_equal(cols, arange)
+
+    row_units = [_pick(rep.units, rows, full_rows) for rep in reps]
+    col_units = [_pick(rep.units, cols, full_cols) for rep in reps]
+    if k_hops == 1:
+        l1, l2, terms = _factored_window(
+            row_units[0], col_units[0], targets, rows, cols,
+            full_rows, full_cols, include_attr, include_label,
+        )
+    else:
+        l1, l2, terms = _dense_window(
+            row_units, col_units, targets, rows, cols, include_attr, include_label
+        )
+
     n_all = int(m.type_offsets[-1])
     w_path_grads: list[np.ndarray] = []
     dz_global = [np.zeros((n_all, d)) for _ in range(k_hops)]
 
     for k in range(k_hops):
         rep = reps[k]
-        loo = g_s
-        for l in range(k_hops):
-            if l != k:
-                loo = loo * hop_sims[l]
+        gb, ga, gs_rows, gs_cols = terms[k]
         a = row_units[k]
         b = col_units[k]
-        sk = hop_sims[k]
-        na = rep.norms if full_rows else rep.norms[rows]
-        nb = rep.norms if full_cols else rep.norms[cols]
+        na = _pick(rep.norms, rows, full_rows)
+        nb = _pick(rep.norms, cols, full_cols)
         na_safe = np.where(na < ZERO_NORM_CUTOFF, 1.0, na)
         nb_safe = np.where(nb < ZERO_NORM_CUTOFF, 1.0, nb)
-        da = (loo @ b - (loo * sk).sum(axis=1)[:, None] * a) / na_safe[:, None]
-        db = (loo.T @ a - (loo * sk).sum(axis=0)[:, None] * b) / nb_safe[:, None]
+        da = (gb - gs_rows[:, None] * a) / na_safe[:, None]
+        db = (ga - gs_cols[:, None] * b) / nb_safe[:, None]
         da[na < ZERO_NORM_CUTOFF] = 0.0
         db[nb < ZERO_NORM_CUTOFF] = 0.0
 
@@ -478,7 +582,7 @@ def history_csv_lines(history: Sequence[HistoryRow], path_labels: Sequence[str])
 
 
 def save_history_csv(history: Sequence[HistoryRow], path_labels: Sequence[str], filename: str) -> None:
-    with open(filename, "w", encoding="utf-8") as fh:
+    with atomic_write(filename, "w", encoding="utf-8") as fh:
         fh.write("\n".join(history_csv_lines(history, path_labels)) + "\n")
 
 
@@ -488,7 +592,8 @@ def save_history_csv(history: Sequence[HistoryRow], path_labels: Sequence[str], 
 def save_model(m: SimilarityModel, filename: str, extra_meta: dict | None = None) -> None:
     """Versioned binary checkpoint: magic, JSON header (schema hash, config,
     paths, parameter index, extra metadata), then raw little-endian float64
-    tensors in canonical parameter order."""
+    tensors in canonical parameter order. The file is replaced only once it
+    is written in full."""
     items = m.param_items()
     header = {
         "format_version": 1,
@@ -500,7 +605,7 @@ def save_model(m: SimilarityModel, filename: str, extra_meta: dict | None = None
         "meta": extra_meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(filename, "wb") as fh:
+    with atomic_write(filename, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
@@ -520,12 +625,23 @@ class Checkpoint:
     params: tuple[tuple[tuple, np.ndarray], ...]
 
     def check_graph(self, g: HeteroGraph) -> None:
-        """Raise DataError unless the checkpoint fits ``g``'s schema."""
+        """Raise DataError unless the checkpoint fits ``g``'s schema: its
+        paths and its parameter index, whose shapes the schema and config
+        fix, so a model is only allocated at the size of the stored data."""
         if self.schema_hash != g.schema.content_hash():
             raise DataError(f"{self.filename}: checkpoint was trained on a different schema")
         n_rel = len(g.schema.relations)
         if any(not 0 <= rid < n_rel for p in self.paths for rid in p.relation_ids):
             raise DataError(f"{self.filename}: a meta-path names a relation the schema lacks")
+        types = sorted(g.schema.node_types, key=lambda t: t.type_id)
+        d, hops = self.cfg.hidden_dim, self.cfg.num_hops
+        bad = DataError(f"{self.filename}: parameter index does not match the model")
+        if len(self.params) != len(types) + len(self.paths) * hops:
+            raise bad
+        expected = [(("in", t.type_id), (t.feature_dim, d)) for t in types]
+        expected += [(("path", p, k), (d, d)) for p in range(len(self.paths)) for k in range(hops)]
+        if [(key, p.shape) for key, p in self.params] != expected:
+            raise bad
 
     def model(self, g: HeteroGraph, targets: Sequence[SimilarityTargets] | None = None) -> SimilarityModel:
         """Rebuild the model bound to ``g``. Concat-mode models need per-path
@@ -537,9 +653,6 @@ class Checkpoint:
                 raise DataError("concat-mode checkpoint needs one SimilarityTargets per path")
             dist = [t.df for t in targets]
         model = SimilarityModel(g, self.paths, self.cfg, dist_features=dist)
-        expected = [(key, p.shape) for key, p in model.param_items()]
-        if [(key, p.shape) for key, p in self.params] != expected:
-            raise DataError(f"{self.filename}: parameter index does not match the model")
         for key, p in self.params:
             model.set_param(key, p)
         return model

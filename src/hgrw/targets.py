@@ -148,6 +148,14 @@ class SimilarityTargets:
             out *= u[rows] @ u[cols].T
         return out
 
+    def one_hop_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The attribute units P, label units V and 0/1 mask m of a one-hop
+        target, so that a window's targets are P[rows] @ P[cols].T and
+        V[rows] @ V[cols].T, weighted by m[rows] m[cols]^T."""
+        if self.num_hops != 1:
+            raise ValueError(f"{self.num_hops}-hop targets have no one-hop factors")
+        return self._attr_units[0], self._label_units[0], self.mask
+
     def attr_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self._block("attr", rows, cols)
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from hgrw.graph import HeteroGraph
-from hgrw.learner import PairBatch, SimilarityModel, _path_reps, pair_loss
+from hgrw.learner import GradientResult, PairBatch, SimilarityModel, _path_reps, pair_loss
 from hgrw.metapath import MetaPath, MetaPathSubgraph
 from hgrw.sparse import CsrMatrix
+from hgrw.targets import ZERO_NORM_CUTOFF
 
 
 def dense_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -163,6 +164,62 @@ def fd_gradients(
         model.set_param(key, base)
         out[key] = grad
     return out
+
+
+def dense_gradients(
+    m: SimilarityModel,
+    path: MetaPath,
+    batch: PairBatch,
+    targets,
+    include_attr: bool = True,
+    include_label: bool = True,
+) -> GradientResult:
+    """The learner's gradients through the explicit rows x cols window, for
+    any number of hops: residuals against the target blocks, leave-one-out
+    products over the hop cosines, then the unit-row, centering, projection
+    and propagation backward steps, scattering with ``np.add.at``."""
+    pidx = m.path_index[path]
+    reps = _path_reps(m, path)
+    rows, cols = batch.rows, batch.cols
+    k_hops, d = m.cfg.num_hops, m.cfg.hidden_dim
+    n_target = m.graph.target_count
+    hop_sims = [rep.units[rows] @ rep.units[cols].T for rep in reps]
+    s = np.prod(hop_sims, axis=0)
+    r1 = s - targets.attr_block(rows, cols)
+    r2 = s - targets.label_block(rows, cols)
+    mb = targets.mask_block(rows, cols)
+    g_s = np.zeros_like(s)
+    if include_attr:
+        g_s += 2.0 * r1
+    if include_label:
+        g_s += 2.0 * mb * r2
+
+    n_all = int(m.type_offsets[-1])
+    w_path_grads = []
+    dz_global = [np.zeros((n_all, d)) for _ in range(k_hops)]
+    for k, rep in enumerate(reps):
+        loo = g_s * np.prod([hop_sims[l] for l in range(k_hops) if l != k], axis=0)
+        a, b, sk = rep.units[rows], rep.units[cols], hop_sims[k]
+        na, nb = rep.norms[rows], rep.norms[cols]
+        da = (loo @ b - (loo * sk).sum(axis=1)[:, None] * a) / np.where(na < ZERO_NORM_CUTOFF, 1.0, na)[:, None]
+        db = (loo.T @ a - (loo * sk).sum(axis=0)[:, None] * b) / np.where(nb < ZERO_NORM_CUTOFF, 1.0, nb)[:, None]
+        da[na < ZERO_NORM_CUTOFF] = 0.0
+        db[nb < ZERO_NORM_CUTOFF] = 0.0
+        d_centered = np.zeros((n_target, rep.units.shape[1]))
+        np.add.at(d_centered, rows, da)
+        np.add.at(d_centered, cols, db)
+        d_h = (d_centered - d_centered.mean(axis=0))[:, :d]
+        w_path_grads.append(rep.z_target.T @ d_h)
+        dz_global[k][m.target_slice] = d_h @ m.w_path[pidx][k].T
+
+    acc = np.zeros((n_all, d))
+    for k in range(k_hops - 1, -1, -1):
+        acc = np.asarray(m._walk_sp_t @ (acc + dz_global[k]))
+    w_in = {}
+    for t in m.graph.schema.node_types:
+        lo, hi = int(m.type_offsets[t.type_id]), int(m.type_offsets[t.type_id + 1])
+        w_in[t.type_id] = np.asarray(m.graph.features[t.type_id], dtype=np.float64).T @ acc[lo:hi]
+    return GradientResult(l1=float((r1 * r1).sum()), l2=float((mb * r2 * r2).sum()), w_in=w_in, w_path=w_path_grads)
 
 
 def _simplex_grid(m: int, step: float) -> np.ndarray:

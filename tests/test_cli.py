@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -135,6 +136,8 @@ BAD_CHECKPOINTS = {
     "trailing bytes": lambda raw: raw + bytes(16),
     "truncated parameters": lambda raw: raw[:-8],
     "bad targets metadata": _edit_header(_concat_mode_with_text_alpha),
+    "huge hidden dim": _edit_header(lambda h: h["config"].update(hidden_dim=10**12)),
+    "huge hop count": _edit_header(lambda h: h["config"].update(num_hops=10**12)),
 }
 
 
@@ -176,6 +179,25 @@ class TestTrain:
         d = str(tmp_path / "ds")
         save_graph(g, d)
         assert main(["train", d, "--out", str(tmp_path / "m.msl"), "--max-path-len", "1"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--num-hops", "2"],
+    ["--num-hops", "2", "--concat-dist"],
+    ["--concat-dist"],
+])
+def test_pipeline_with_model_options(flags, tmp_path):
+    # two hops train through the dense window, one hop through the Gram form
+    ds, model, out = (str(tmp_path / name) for name in ("ds", "m.msl", "rw"))
+    assert main(["synth", "--out", ds, "--target-nodes", "100", "--seed", "5"]) == 0
+    assert main(["train", ds, "--out", model, "--max-path-len", "1", "--hidden-dim", "8",
+                 "--epochs-attr", "3", "--epochs-label", "1", "--seed", "5", *flags]) == 0
+    with open(model + ".loss.csv") as fh:
+        header, *rows = [line.split(",") for line in fh.read().splitlines()]
+    losses = [float(row[i]) for row in rows for i, col in enumerate(header) if col.startswith("loss:")]
+    assert len(rows) == 4 and losses and all(math.isfinite(x) for x in losses)
+    assert main(["rewire", ds, "--model", model, "--out", out]) == 0
+    assert main(["diag", out, "--report", str(tmp_path / "diag.json")]) == 0
 
 
 class TestRewire:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hgrw.cli import main
-from hgrw.dataio import load_graph, read_features_bin, save_graph, write_features_bin
+from hgrw.dataio import atomic_write, load_graph, read_features_bin, save_graph, write_features_bin
 from hgrw.errors import DataError
 from hgrw.graph import TRAIN
 from hgrw.metapath import MetaPath, compose_metapath, homophily_ratio
@@ -141,6 +141,27 @@ class TestLoadErrors:
         write_features_bin(np.zeros((5, 3), dtype=np.float32), os.path.join(d, "features_paper.bin"))
         with pytest.raises(DataError, match="disagrees"):
             load_graph(d)
+
+
+class TestAtomicWrite:
+    def test_replaces_target_and_leaves_no_temporary(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+        with atomic_write(str(target)) as fh:
+            fh.write("new")
+            assert target.read_text() == "old"  # nothing visible until the block ends
+        assert target.read_text() == "new"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failed_write_keeps_existing_file(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(str(target), "wb") as fh:
+                fh.write(b"partial")
+                raise RuntimeError("interrupted")
+        assert target.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.bin"]
 
 
 class TestSynth:

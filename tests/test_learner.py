@@ -1,17 +1,22 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hgrw.errors import DataError
 from hgrw.learner import (
+    HistoryRow,
     LearnerConfig,
     PairBatch,
     SimilarityModel,
+    _path_reps,
     full_batch,
     gradients,
     load_model,
     pair_loss,
     read_checkpoint,
+    save_history_csv,
     save_model,
     similarity_block,
     train,
@@ -22,25 +27,37 @@ from hgrw.synth import SynthConfig, synth_generate
 from hgrw.targets import TargetsConfig, similarity_targets
 
 from conftest import make_graph, symmetric_edges
-from oracles import fd_gradients, model_similarity
+from oracles import dense_gradients, fd_gradients, model_similarity
 
 
 class StaticTargets:
-    """Targets stub backed by explicit matrices."""
+    """One-hop targets stub backed by explicit factors: the pair (i, j) has
+    attribute target attr[i] @ attr[j], label target label[i] @ label[j]
+    and mask mask[i] * mask[j]."""
+
+    num_hops = 1
 
     def __init__(self, attr: np.ndarray, label: np.ndarray, mask: np.ndarray):
         self.attr = attr
         self.label = label
         self.mask = mask
 
+    def one_hop_factors(self):
+        return self.attr, self.label, self.mask
+
     def attr_block(self, rows, cols):
-        return self.attr[np.ix_(rows, cols)]
+        return self.attr[rows] @ self.attr[cols].T
 
     def label_block(self, rows, cols):
-        return self.label[np.ix_(rows, cols)]
+        return self.label[rows] @ self.label[cols].T
 
     def mask_block(self, rows, cols):
         return np.outer(self.mask[rows], self.mask[cols])
+
+
+def unit_rows(model, path):
+    """The one-hop unit rows, whose Gram is the model's similarity matrix."""
+    return _path_reps(model, path)[0].units
 
 
 def planted_instance(n=30, seed=0, num_hops=1, paths_len=1, concat=False, alpha=0.3):
@@ -136,9 +153,8 @@ class TestModelSimilarity:
 class TestPairLoss:
     def test_exact_fit_is_zero(self):
         g, paths, _, model = planted_instance()
-        idx = np.arange(g.target_count)
-        s = similarity_block(model, paths[0], idx, idx)
-        stub = StaticTargets(s, s, np.ones(g.target_count))
+        units = unit_rows(model, paths[0])
+        stub = StaticTargets(units, units, np.ones(g.target_count))
         l1, l2 = pair_loss(model, paths[0], full_batch(g.target_count), stub)
         assert l1 == pytest.approx(0.0, abs=1e-18)
         assert l2 == pytest.approx(0.0, abs=1e-18)
@@ -146,7 +162,7 @@ class TestPairLoss:
     def test_masked_out_pairs_contribute_nothing(self):
         g, paths, _, model = planted_instance()
         n = g.target_count
-        stub = StaticTargets(np.zeros((n, n)), np.ones((n, n)), np.zeros(n))
+        stub = StaticTargets(np.zeros((n, 1)), np.ones((n, 1)), np.zeros(n))
         _, l2 = pair_loss(model, paths[0], full_batch(n), stub)
         assert l2 == 0.0
 
@@ -154,9 +170,9 @@ class TestPairLoss:
         g, paths, _, model = planted_instance()
         n = g.target_count
         s = model_similarity(model, paths[0], 2, 9)
-        # residuals of exactly 0.5 against both targets
-        attr = np.full((n, n), s - 0.5)
-        label = np.full((n, n), s + 0.5)
+        # residuals of exactly 0.5 against both targets at the pair (2, 9)
+        attr, label = np.ones((n, 1)), np.ones((n, 1))
+        attr[2], label[2] = s - 0.5, s + 0.5
         stub = StaticTargets(attr, label, np.ones(n))
         l1, l2 = pair_loss(model, paths[0], PairBatch(np.array([2]), np.array([9])), stub)
         assert l1 == pytest.approx(0.25)
@@ -199,9 +215,8 @@ class TestPairLoss:
 class TestGradients:
     def test_zero_at_exact_fit(self):
         g, paths, _, model = planted_instance()
-        idx = np.arange(g.target_count)
-        s = similarity_block(model, paths[0], idx, idx)
-        stub = StaticTargets(s, s, np.ones(g.target_count))
+        units = unit_rows(model, paths[0])
+        stub = StaticTargets(units, units, np.ones(g.target_count))
         res = gradients(model, paths[0], full_batch(g.target_count), stub)
         for grad in list(res.w_in.values()) + res.w_path:
             assert np.allclose(grad, 0.0, atol=1e-12)
@@ -209,7 +224,7 @@ class TestGradients:
     def test_masked_label_gradients_vanish(self):
         g, paths, _, model = planted_instance()
         n = g.target_count
-        stub = StaticTargets(np.zeros((n, n)), np.ones((n, n)), np.zeros(n))
+        stub = StaticTargets(np.zeros((n, 1)), np.ones((n, 1)), np.zeros(n))
         res = gradients(model, paths[0], full_batch(n), stub,
                         include_attr=False, include_label=True)
         assert res.l2 == 0.0
@@ -233,6 +248,99 @@ class TestGradients:
             err = np.abs(analytic - ref[key])
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(ref[key])), 1e-6)
             assert np.max(err / denom) < 1e-4
+
+
+def cancelling_instance(seed, concat, alpha, core=5, isolated=3):
+    """A one-hop instance with rows of zero centered norm: every core node
+    has a twin with negated features and the same edges, so the encodings
+    cancel in the column mean, and the isolated nodes' encodings (zero, like
+    their neighbourhood distributions) sit at that mean up to rounding, far
+    under the zero-norm cutoff."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(core) for j in range(i + 1, core) if rng.random() < 0.5]
+    pairs += [(i + core, j + core) for i, j in pairs]
+    n = 2 * core + isolated
+    x = rng.standard_normal((n, 4)).astype(np.float32)
+    x[core : 2 * core] = -x[:core]
+    labels = rng.integers(0, 2, n).tolist()
+    g = make_graph({"n": n}, [("r", "n", "n", symmetric_edges(pairs))], "n",
+                   labels=labels, num_classes=2, features={"n": x}, feature_dim=4)
+    path = MetaPath((0,))
+    df, tg = similarity_targets(compose_metapath(g, path), g, TargetsConfig(num_hops=1, alpha=alpha))
+    cfg = LearnerConfig(hidden_dim=4, num_hops=1, seed=seed, concat_distribution_features=concat)
+    return g, [path], [tg], SimilarityModel(g, [path], cfg, dist_features=[df] if concat else None)
+
+
+def window(kind, n, rng):
+    """Row and column indices of one window shape over n targets."""
+    if kind == "full":
+        return np.arange(n), np.arange(n)
+    if kind == "sampled":
+        return (np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False)),
+                np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False)))
+    if kind == "single row":
+        return rng.integers(0, n, 1), np.arange(n)
+    if kind == "single column":
+        return np.sort(rng.choice(n, size=n // 2, replace=False)), rng.integers(0, n, 1)
+    if kind == "unsorted":
+        return rng.permutation(n)[: rng.integers(2, n + 1)], rng.permutation(n)
+    return rng.integers(0, n, 2 * n), rng.integers(0, n, n // 2 + 1)  # repeated indices
+
+
+def assert_close(x, ref):
+    # relative to the larger side, with an absolute floor for entries that
+    # should be zero: the two forms cancel different terms
+    x, ref = np.asarray(x), np.asarray(ref)
+    assert np.all(np.abs(x - ref) <= 1e-10 * np.maximum(np.abs(ref), 1e-2))
+
+
+class TestFactoredGradients:
+    @given(
+        seed=st.integers(0, 10**4),
+        instance=st.sampled_from(["synth", "cancelling"]),
+        kind=st.sampled_from(["full", "sampled", "single row", "single column", "unsorted", "repeated"]),
+        include_attr=st.booleans(),
+        include_label=st.booleans(),
+        concat=st.booleans(),
+        alpha=st.sampled_from([0.0, 0.3, 1.0]),  # 1.0 masks every pair out
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_dense_window(self, seed, instance, kind, include_attr, include_label, concat, alpha):
+        if instance == "synth":
+            g, paths, targets, model = planted_instance(
+                n=13 + seed % 8, seed=seed % 5, concat=concat, alpha=alpha
+            )
+        else:
+            g, paths, targets, model = cancelling_instance(seed, concat, alpha)
+        rng = np.random.default_rng(seed)
+        for _ in range(int(rng.integers(0, 3))):  # move off the initial parameters
+            key, param = model.param_items()[int(rng.integers(len(model.param_items())))]
+            model.set_param(key, param + rng.normal(scale=0.3, size=param.shape))
+        batch = PairBatch(*window(kind, g.target_count, rng))
+        res = gradients(model, paths[0], batch, targets[0], include_attr, include_label)
+        ref = dense_gradients(model, paths[0], batch, targets[0], include_attr, include_label)
+        assert_close(res.l1, ref.l1)
+        assert_close(res.l2, ref.l2)
+        assert res.w_in.keys() == ref.w_in.keys()
+        for tid in ref.w_in:
+            assert_close(res.w_in[tid], ref.w_in[tid])
+        assert len(res.w_path) == len(ref.w_path) == 1
+        assert_close(res.w_path[0], ref.w_path[0])
+
+    def test_cancelling_instance_has_zero_norm_rows(self):
+        _, paths, targets, model = cancelling_instance(seed=0, concat=True, alpha=0.3)
+        norms = _path_reps(model, paths[0])[0].norms
+        assert np.sum(norms < 1e-12) >= 3 and np.any(norms > 1e-6)
+
+    @pytest.mark.parametrize("concat", [False, True])
+    def test_two_hops_use_the_dense_window(self, concat):
+        g, paths, targets, model = planted_instance(n=14, seed=2, num_hops=2, concat=concat)
+        batch = PairBatch(np.array([3, 1, 3, 9]), np.arange(14))
+        res = gradients(model, paths[0], batch, targets[0])
+        ref = dense_gradients(model, paths[0], batch, targets[0])
+        assert (res.l1, res.l2) == pytest.approx((ref.l1, ref.l2), rel=1e-12)
+        for got, want in zip([*res.w_in.values(), *res.w_path], [*ref.w_in.values(), *ref.w_path]):
+            assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 class TestTrain:
@@ -300,6 +408,23 @@ class TestCheckpoint:
         other = synth_generate(SynthConfig(target_nodes=21, num_classes=2, self_homophily=(0.3,), seed=0))
         with pytest.raises(DataError):
             load_model(fn, other)
+
+    def test_failed_save_keeps_existing_files(self, tmp_path):
+        g, paths, targets, model = planted_instance(n=20)
+        fn = tmp_path / "model.msl"
+        save_model(model, str(fn))
+        before = fn.read_bytes()
+        # the last parameter cannot be written, after the header and the
+        # first tensors have gone out
+        key, param = model.param_items()[-1]
+        model.set_param(key, np.full(param.shape, "x", dtype=object))
+        with pytest.raises(ValueError):
+            save_model(model, str(fn))
+        assert fn.read_bytes() == before
+        history = [HistoryRow(1, "attr", (0.5,), (1.0,))]
+        save_history_csv(history, ["p"], str(tmp_path / "h.csv"))
+        assert (tmp_path / "h.csv").read_text() == "epoch,phase,loss:p,lambda:p\n1,attr,0.5,1.0\n"
+        assert sorted(os.listdir(tmp_path)) == ["h.csv", "model.msl"]
 
     def test_bad_magic_rejected(self, tmp_path):
         fn = tmp_path / "junk.msl"
