@@ -339,9 +339,10 @@ def _factored_window(
         mvc = mc * vc
         bb, qb, mbb, vb = b.T @ b, q.T @ b, (mc * b).T @ b, mvc.T @ b
         qq, ww = q.T @ q, mvc.T @ vc
-    # the Gram form can round just below zero at an exact fit
-    l1 = max(0.0, float(np.vdot(aa, bb) - 2.0 * np.vdot(pa, qb) + np.vdot(pp, qq)))
-    l2 = max(0.0, float(np.vdot(maa, mbb) - 2.0 * np.vdot(va, vb) + np.vdot(vv, ww)))
+    # the Gram form can round just below zero at an exact fit; np.maximum
+    # keeps a NaN loss NaN, so train's non-finite check still sees it
+    l1 = float(np.maximum(0.0, np.vdot(aa, bb) - 2.0 * np.vdot(pa, qb) + np.vdot(pp, qq)))
+    l2 = float(np.maximum(0.0, np.vdot(maa, mbb) - 2.0 * np.vdot(va, vb) + np.vdot(vv, ww)))
 
     gb = np.zeros_like(a)
     if include_attr:

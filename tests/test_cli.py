@@ -169,6 +169,13 @@ class TestTrain:
         assert main(["train", dataset, "--out", out2] + args) == 0
         assert open(out1 + ".loss.csv", "rb").read() == open(out2 + ".loss.csv", "rb").read()
 
+    def test_overflowing_learning_rate_is_numeric_failure(self, dataset, tmp_path, capsys):
+        out = str(tmp_path / "m.msl")
+        assert main(["train", dataset, "--out", out, "--max-path-len", "1",
+                     "--epochs-attr", "3", "--epochs-label", "1", "--lr", "1e300"]) == 3
+        assert "non-finite loss" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_no_paths_is_data_error(self, tmp_path):
         g = make_graph(
             {"paper": 3, "author": 2},

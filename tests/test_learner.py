@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hgrw.errors import DataError
+from hgrw.errors import DataError, NumericError
 from hgrw.learner import (
     HistoryRow,
     LearnerConfig,
@@ -342,8 +342,25 @@ class TestFactoredGradients:
         for got, want in zip([*res.w_in.values(), *res.w_path], [*ref.w_in.values(), *ref.w_path]):
             assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("num_hops", [1, 2])
+    def test_non_finite_parameters_give_non_finite_losses(self, num_hops):
+        # the Gram form clamps its losses at 0.0; the clamp must keep NaN
+        g, paths, targets, model = planted_instance(n=14, seed=1, num_hops=num_hops)
+        key, param = model.param_items()[0]
+        model.set_param(key, np.full_like(param, np.nan))
+        res = gradients(model, paths[0], full_batch(g.target_count), targets[0])
+        assert not np.isfinite(res.l1) and not np.isfinite(res.l2)
+
 
 class TestTrain:
+    @pytest.mark.parametrize("num_hops", [1, 2])
+    def test_overflowing_learning_rate_raises(self, num_hops):
+        g, paths, targets, _ = planted_instance(n=25, num_hops=num_hops)
+        cfg = LearnerConfig(hidden_dim=4, num_hops=num_hops, epochs_attr=4, epochs_label=1,
+                            learning_rate=1e300, seed=0)
+        with pytest.raises(NumericError, match="non-finite loss"):
+            train(g, paths, targets, cfg)
+
     def test_single_path_uniform_lambda(self):
         g, paths, targets, _ = planted_instance(n=25)
         cfg = LearnerConfig(hidden_dim=4, num_hops=1, epochs_attr=4, epochs_label=2, seed=0)
