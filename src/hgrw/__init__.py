@@ -23,26 +23,16 @@ from .errors import (
 )
 from .graph import HeteroGraph, HeteroSchema, NodeType, Relation, validate_graph
 from .dataio import load_graph, save_graph
-from .learner import (
-    LearnerConfig,
-    PairBatch,
-    SimilarityModel,
-    gradients,
-    load_model,
-    pair_loss,
-    save_model,
-    train,
-)
+from .learner import LearnerConfig, SimilarityModel, read_checkpoint, save_model, train
 from .metapath import (
     MetaPath,
     MetaPathSubgraph,
     compose_metapath,
     enumerate_metapaths,
-    hg_homophily,
     homophily_ratio,
     path_label,
 )
-from .multiobjective import SimplexWeights, min_norm_point, weighted_loss
+from .multiobjective import SimplexWeights, min_norm_point
 from .rewire import (
     CandidateSet,
     RewireConfig,
@@ -51,13 +41,12 @@ from .rewire import (
     rewire_metapath,
     score_candidates,
 )
-from .sparse import CsrMatrix, bool_spgemm, row_normalize
+from .sparse import CsrMatrix
 from .synth import SynthConfig, synth_generate
 from .targets import (
     DistributionFeatures,
     SimilarityTargets,
     TargetsConfig,
-    centered_cosine,
     neighborhood_distributions,
     similarity_targets,
 )
@@ -77,7 +66,6 @@ __all__ = [
     "MetaPathSubgraph",
     "NodeType",
     "NumericError",
-    "PairBatch",
     "Relation",
     "RewireConfig",
     "RewirePlan",
@@ -90,25 +78,19 @@ __all__ = [
     "UndefinedRatioError",
     "UsageError",
     "ari",
-    "bool_spgemm",
-    "centered_cosine",
     "complexity_measure",
     "compose_metapath",
     "enumerate_metapaths",
-    "gradients",
-    "hg_homophily",
     "homophily_ratio",
     "homophily_report",
     "load_graph",
-    "load_model",
     "mean_aggregation",
     "merge_into_graph",
     "min_norm_point",
     "neighborhood_distributions",
-    "pair_loss",
     "path_label",
+    "read_checkpoint",
     "rewire_metapath",
-    "row_normalize",
     "save_graph",
     "save_model",
     "score_candidates",
@@ -116,7 +98,6 @@ __all__ = [
     "synth_generate",
     "train",
     "validate_graph",
-    "weighted_loss",
 ]
 
 __version__ = "0.1.0"

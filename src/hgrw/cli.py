@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .diagnostics import ComplexityInputs, complexity_measure, homophily_report, mean_aggregation
-from .dataio import load_graph, save_graph
+from .dataio import atomic_write, load_graph, save_graph
 from .errors import DataError, NumericError, UndefinedMeasureError, UsageError
 from .graph import HeteroGraph
 from .learner import LearnerConfig, read_checkpoint, save_history_csv, save_model, train
@@ -175,9 +175,9 @@ def _cmd_rewire(args) -> int:
     save_graph(merged, args.out)
     save_plan_tsv(plans, g.schema, os.path.join(args.out, "rewire_plan.tsv"))
     report = homophily_report(g, merged, list(model.paths), g.labels)
-    with open(os.path.join(args.out, "homophily_report.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(args.out, "homophily_report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
-    with open(os.path.join(args.out, "homophily_report.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(args.out, "homophily_report.tsv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(report.tsv_lines()) + "\n")
     n_add = sum(len(p.additions) for p in plans)
     n_del = sum(len(p.removals) for p in plans)
@@ -215,7 +215,7 @@ def _cmd_diag(args) -> int:
         )
     mh, _ = max_homophily(measured)
     doc = {"paths": rows, "mh": mh}
-    with open(args.report, "w", encoding="utf-8") as fh:
+    with atomic_write(args.report, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.report} ({len(rows)} meta-paths, mh {mh:.4f})")

@@ -34,6 +34,15 @@ from .sparse import CsrMatrix
 FORMAT_VERSION = 1
 FEATURE_MAGIC = b"HGF1"
 
+# The type of every manifest field, at the top level and in each node type
+# and relation row.
+MANIFEST_FIELDS = {
+    "node_types": list, "relations": list, "target_type": str,
+    "num_classes": int, "label_file": str, "split_file": str,
+}
+NODE_TYPE_FIELDS = {"name": str, "count": int, "feature_dim": int, "feature_file": str}
+RELATION_FIELDS = {"name": str, "src": str, "dst": str, "edge_file": str}
+
 
 def _safe_name(name: str, taken: set[str]) -> str:
     base = re.sub(r"[^A-Za-z0-9_.-]", "_", name)
@@ -173,6 +182,20 @@ def save_graph(g: HeteroGraph, directory: str) -> None:
         fh.write("\n")
 
 
+def _check_fields(manifest_path: str, what: str, doc, types: dict[str, type]) -> None:
+    """DataError unless ``doc`` is a JSON object holding each field of
+    ``types`` with exactly that type (a bool is no int)."""
+    if not isinstance(doc, dict):
+        raise DataError(f"{manifest_path}: {what} is not a JSON object")
+    for name, kind in types.items():
+        if name not in doc:
+            raise DataError(f"{manifest_path}: {what} lacks field {name!r}")
+        if type(doc[name]) is not kind:
+            raise DataError(
+                f"{manifest_path}: {what} field {name!r} holds {doc[name]!r}, not {kind.__name__}"
+            )
+
+
 def load_graph(directory: str) -> HeteroGraph:
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -182,8 +205,15 @@ def load_graph(directory: str) -> HeteroGraph:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{manifest_path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: manifest is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DataError(f"{manifest_path}: unsupported format_version")
+    _check_fields(manifest_path, "manifest", manifest, MANIFEST_FIELDS)
+    for row in manifest["node_types"]:
+        _check_fields(manifest_path, "node type", row, NODE_TYPE_FIELDS)
+    for row in manifest["relations"]:
+        _check_fields(manifest_path, "relation", row, RELATION_FIELDS)
 
     node_types, features = [], []
     name_to_id: dict[str, int] = {}
@@ -272,7 +302,7 @@ def load_graph(directory: str) -> HeteroGraph:
         labels=labels,
         splits=splits,
         target_type=target,
-        num_classes=int(manifest["num_classes"]),
+        num_classes=manifest["num_classes"],
     )
     problems = validate_graph(g)
     if problems:

@@ -93,9 +93,6 @@ class HeteroGraph:
     def train_mask(self) -> np.ndarray:
         return self.splits == TRAIN
 
-    def relation_adjacency(self, name: str) -> CsrMatrix:
-        return self.adjacency[self.schema.relation_named(name).rel_id]
-
 
 def validate_graph(g: HeteroGraph) -> list[str]:
     """Check every structural invariant; returns one message per violation.

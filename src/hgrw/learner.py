@@ -12,9 +12,10 @@ rows from n x w Gram products of the unit rows and the target factors, never
 forming a rows x cols array; models with two or more hops use the dense
 window, whose Hadamard product over hops has no small factored form.
 
-Parameter order (used for gradient flattening and checkpoints): input
-projections by ascending node type id, then for each meta-path in model
-order its per-hop projections.
+Parameters, gradients and the Adam state are each one flat float64 vector
+in the order ``param_layout`` gives: input projections by node type id, then
+each meta-path's per-hop projections. The model's projection matrices are
+reshaped views into its vector, and a checkpoint stores the vector as is.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import json
 import math
 import operator
 import struct
-from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .dataio import atomic_write
 from .errors import DataError, NumericError
 from .graph import HeteroGraph
 from .metapath import MetaPath
-from .multiobjective import SimplexWeights, min_norm_point
+from .multiobjective import min_norm_point
 from .sparse import CsrMatrix, row_normalize
 from .targets import ZERO_NORM_CUTOFF, DistributionFeatures, SimilarityTargets, centered_unit_rows
 
@@ -71,11 +72,6 @@ class PairBatch:
     cols: np.ndarray
 
 
-def full_batch(n: int) -> PairBatch:
-    idx = np.arange(n)
-    return PairBatch(idx, idx)
-
-
 def union_adjacency(g: HeteroGraph) -> tuple[CsrMatrix, np.ndarray]:
     """Type-blind union of all relation edges under a global node indexing.
 
@@ -98,9 +94,31 @@ def union_adjacency(g: HeteroGraph) -> tuple[CsrMatrix, np.ndarray]:
     return CsrMatrix.from_coo(all_rows, all_cols, (n_all, n_all)), offsets
 
 
+Layout = list[tuple[tuple, tuple[int, int]]]
+
+
+def param_layout(g: HeteroGraph, cfg: LearnerConfig, n_paths: int) -> Layout:
+    """Each parameter's key and shape, in the one canonical order: the input
+    projection ("in", type id) of every node type by type id, then for each
+    meta-path in model order its per-hop projections ("path", path, hop)."""
+    d = cfg.hidden_dim
+    layout: Layout = [(("in", t.type_id), (t.feature_dim, d)) for t in g.schema.node_types]
+    return layout + [(("path", p, k), (d, d)) for p in range(n_paths) for k in range(cfg.num_hops)]
+
+
+def param_views(flat: np.ndarray, layout: Layout) -> dict[tuple, np.ndarray]:
+    """Each parameter's block of a flat vector in ``layout`` order, reshaped
+    to the parameter's shape; the blocks are views, so writes reach ``flat``."""
+    views, offset = {}, 0
+    for key, (rows, cols) in layout:
+        views[key] = flat[offset : offset + rows * cols].reshape(rows, cols)
+        offset += rows * cols
+    return views
+
+
 class SimilarityModel:
-    """Trainable state: input projections, per-path per-hop projections, and
-    the cached hop encodings, kept coherent via a version counter."""
+    """Trainable state: the flat parameter vector with its projection views,
+    and the cached hop encodings, kept coherent via a version counter."""
 
     def __init__(
         self,
@@ -133,14 +151,15 @@ class SimilarityModel:
         )
         self.dist_features = tuple(dist_features) if dist_features is not None else None
 
-        d = cfg.hidden_dim
+        self.layout = param_layout(g, cfg, len(self.paths))
+        self.params = np.empty(sum(rows * cols for _, (rows, cols) in self.layout))
+        views = param_views(self.params, self.layout)
         rng = np.random.default_rng(cfg.seed)
-        self.w_in: dict[int, np.ndarray] = {}
-        for t in g.schema.node_types:
-            self.w_in[t.type_id] = _xavier(rng, t.feature_dim, d)
-        self.w_path: list[list[np.ndarray]] = [
-            [_xavier(rng, d, d) for _ in range(cfg.num_hops)] for _ in self.paths
-        ]
+        for key, (fan_in, fan_out) in self.layout:  # Xavier uniform
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            views[key][...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        self.w_in = {t.type_id: views["in", t.type_id] for t in g.schema.node_types}
+        self.w_path = [[views["path", p, k] for k in range(cfg.num_hops)] for p in range(len(self.paths))]
 
         self._version = 0
         self._enc_version = -1
@@ -148,20 +167,9 @@ class SimilarityModel:
 
     # -- parameters ---------------------------------------------------------
 
-    def param_items(self) -> list[tuple[tuple, np.ndarray]]:
-        items: list[tuple[tuple, np.ndarray]] = []
-        for tid in sorted(self.w_in):
-            items.append((("in", tid), self.w_in[tid]))
-        for pidx, mats in enumerate(self.w_path):
-            for k, w in enumerate(mats):
-                items.append((("path", pidx, k), w))
-        return items
-
-    def set_param(self, key: tuple, value: np.ndarray) -> None:
-        if key[0] == "in":
-            self.w_in[key[1]] = value
-        else:
-            self.w_path[key[1]][key[2]] = value
+    def set_params(self, values: np.ndarray) -> None:
+        """Overwrite every parameter from a flat vector in layout order."""
+        self.params[...] = values
         self._version += 1
 
     # -- encodings ----------------------------------------------------------
@@ -187,11 +195,6 @@ class SimilarityModel:
         return tuple(out)
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-
 @dataclass
 class _HopRep:
     units: np.ndarray  # (n_target, width) centered unit rows; zero rows for degenerate nodes
@@ -213,32 +216,11 @@ def _path_reps(m: SimilarityModel, path: MetaPath) -> list[_HopRep]:
     return reps
 
 
-def similarity_block(m: SimilarityModel, path: MetaPath, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    reps = _path_reps(m, path)
-    out = np.ones((len(rows), len(cols)))
-    for rep in reps:
-        out *= rep.units[rows] @ rep.units[cols].T
-    return out
-
-
-def pair_loss(
-    m: SimilarityModel, path: MetaPath, batch: PairBatch, targets: SimilarityTargets
-) -> tuple[float, float]:
-    """Squared-error sums of the batch window against the attribute targets
-    (first value) and the masked label targets (second value)."""
-    s = similarity_block(m, path, batch.rows, batch.cols)
-    r1 = s - targets.attr_block(batch.rows, batch.cols)
-    r2 = s - targets.label_block(batch.rows, batch.cols)
-    mb = targets.mask_block(batch.rows, batch.cols)
-    return float((r1 * r1).sum()), float((mb * r2 * r2).sum())
-
-
 @dataclass
 class GradientResult:
     l1: float
     l2: float
-    w_in: dict[int, np.ndarray]
-    w_path: list[np.ndarray] = field(default_factory=list)
+    grad: np.ndarray  # flat, in layout order; other paths' projections get zeros
 
 
 def _scatter_add(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
@@ -399,7 +381,8 @@ def gradients(
         )
 
     n_all = int(m.type_offsets[-1])
-    w_path_grads: list[np.ndarray] = []
+    grad = np.zeros_like(m.params)
+    grads = param_views(grad, m.layout)
     dz_global = [np.zeros((n_all, d)) for _ in range(k_hops)]
 
     for k in range(k_hops):
@@ -427,55 +410,38 @@ def gradients(
         d_h = d_centered - d_centered.mean(axis=0)
         d_h = d_h[:, :d]  # concatenated distribution columns are constants
 
-        w = m.w_path[pidx][k]
-        w_path_grads.append(rep.z_target.T @ d_h)
-        dz_global[k][m.target_slice] = d_h @ w.T
+        grads["path", pidx, k][...] = rep.z_target.T @ d_h
+        dz_global[k][m.target_slice] = d_h @ m.w_path[pidx][k].T
 
     acc = np.zeros((n_all, d))
     for k in range(k_hops - 1, -1, -1):
         acc += dz_global[k]
         acc = np.asarray(m._walk_sp_t @ acc)
-    w_in_grads: dict[int, np.ndarray] = {}
     for t in m.graph.schema.node_types:
         lo, hi = int(m.type_offsets[t.type_id]), int(m.type_offsets[t.type_id + 1])
         x = np.asarray(m.graph.features[t.type_id], dtype=np.float64)
-        w_in_grads[t.type_id] = x.T @ acc[lo:hi]
-
-    return GradientResult(l1=l1, l2=l2, w_in=w_in_grads, w_path=w_path_grads)
-
-
-def flatten_gradient(m: SimilarityModel, result: GradientResult, pidx: int) -> np.ndarray:
-    """Gradient as one vector over the full parameter set, in canonical
-    order; projections of other paths contribute zeros."""
-    parts = [result.w_in[tid].ravel() for tid in sorted(result.w_in)]
-    for p in range(len(m.paths)):
-        for k in range(m.cfg.num_hops):
-            if p == pidx:
-                parts.append(result.w_path[k].ravel())
-            else:
-                parts.append(np.zeros(m.w_path[p][k].size))
-    return np.concatenate(parts)
+        grads["in", t.type_id][...] = x.T @ acc[lo:hi]
+    return GradientResult(l1, l2, grad)
 
 
 class _Adam:
-    def __init__(self, shapes: dict[tuple, tuple], lr: float, weight_decay: float):
+    def __init__(self, size: int, lr: float, weight_decay: float):
         self.lr = lr
         self.wd = weight_decay
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
-        self.m = {k: np.zeros(s) for k, s in shapes.items()}
-        self.v = {k: np.zeros(s) for k, s in shapes.items()}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, model: SimilarityModel, grads: dict[tuple, np.ndarray]) -> None:
+    def step(self, model: SimilarityModel, grad: np.ndarray) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for key, param in model.param_items():
-            g = grads[key] + self.wd * param
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * g * g
-            update = (self.m[key] / bc1) / (np.sqrt(self.v[key] / bc2) + self.eps)
-            model.set_param(key, param - self.lr * update)
+        g = grad + self.wd * model.params
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        model.set_params(model.params - self.lr * update)
 
 
 @dataclass(frozen=True)
@@ -492,21 +458,18 @@ def _sample_axis(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=k, replace=False))
 
 
-MooSolver = Callable[[Sequence[np.ndarray]], SimplexWeights]
-
-
 def train(
     g: HeteroGraph,
     paths: Sequence[MetaPath],
     targets: Sequence[SimilarityTargets],
     cfg: LearnerConfig,
-    moo_solver: MooSolver | None = None,
 ) -> tuple[SimilarityModel, list[HistoryRow]]:
     """Two-phase training: attribute targets first, label targets folded in
     for the fine-tune epochs. One window of batch_rows x batch_cols pairs is
     sampled per epoch and shared by every meta-path; the min-norm solver
     weights the per-path gradients before each Adam step. Deterministic for
-    a fixed seed."""
+    a fixed seed. A blown-up model stops with NumericError at the first
+    non-finite loss, without numpy's overflow warnings."""
     if len(paths) != len(targets):
         raise ValueError("one SimilarityTargets per path required")
     for t in targets:
@@ -514,12 +477,11 @@ def train(
             raise ValueError(
                 f"targets were built with {t.num_hops} hops, config says {cfg.num_hops}"
             )
-    solver = moo_solver if moo_solver is not None else min_norm_point
     dist = [t.df for t in targets] if cfg.concat_distribution_features else None
     model = SimilarityModel(g, paths, cfg, dist_features=dist)
 
     rng = np.random.default_rng(cfg.seed)
-    adam = _Adam({k: p.shape for k, p in model.param_items()}, cfg.learning_rate, cfg.weight_decay)
+    adam = _Adam(model.params.size, cfg.learning_rate, cfg.weight_decay)
     n = g.target_count
     m_paths = len(paths)
     history: list[HistoryRow] = []
@@ -529,43 +491,32 @@ def train(
         ("attr", cfg.epochs_attr, True, False),
         ("label", cfg.epochs_label, cfg.keep_attr_in_finetune, True),
     )
-    for phase_name, n_epochs, inc_attr, inc_label in phases:
-        for _ in range(n_epochs):
-            epoch += 1
-            batch = PairBatch(
-                _sample_axis(rng, n, cfg.batch_rows), _sample_axis(rng, n, cfg.batch_cols)
-            )
-            results = [
-                gradients(model, p, batch, t, include_attr=inc_attr, include_label=inc_label)
-                for p, t in zip(model.paths, targets)
-            ]
-            losses = [
-                (r.l1 if inc_attr else 0.0) + (r.l2 if inc_label else 0.0) for r in results
-            ]
-            if not all(np.isfinite(losses)):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch} ({phase_name} phase): {losses}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for phase_name, n_epochs, inc_attr, inc_label in phases:
+            for _ in range(n_epochs):
+                epoch += 1
+                batch = PairBatch(
+                    _sample_axis(rng, n, cfg.batch_rows), _sample_axis(rng, n, cfg.batch_cols)
                 )
-
-            if m_paths == 1:
-                lam = SimplexWeights(np.ones(1))
-            else:
-                lam = solver([flatten_gradient(model, r, i) for i, r in enumerate(results)])
-
-            combined: dict[tuple, np.ndarray] = {}
-            for key, param in model.param_items():
-                combined[key] = np.zeros_like(param)
-            for i, r in enumerate(results):
-                w = lam.lambdas[i] / m_paths
-                for tid, gr in r.w_in.items():
-                    combined[("in", tid)] += w * gr
-                for k, gr in enumerate(r.w_path):
-                    combined[("path", i, k)] += w * gr
-            adam.step(model, combined)
-
-            history.append(
-                HistoryRow(epoch, phase_name, tuple(losses), tuple(float(x) for x in lam.lambdas))
-            )
+                results = [
+                    gradients(model, p, batch, t, include_attr=inc_attr, include_label=inc_label)
+                    for p, t in zip(model.paths, targets)
+                ]
+                losses = [
+                    (r.l1 if inc_attr else 0.0) + (r.l2 if inc_label else 0.0) for r in results
+                ]
+                if not all(np.isfinite(losses)):
+                    raise NumericError(
+                        f"non-finite loss at epoch {epoch} ({phase_name} phase): {losses}"
+                    )
+                lam = min_norm_point([r.grad for r in results])
+                combined = np.zeros_like(model.params)
+                for lam_i, r in zip(lam.lambdas, results):
+                    combined += lam_i / m_paths * r.grad
+                adam.step(model, combined)
+                history.append(
+                    HistoryRow(epoch, phase_name, tuple(losses), tuple(float(x) for x in lam.lambdas))
+                )
     return model, history
 
 
@@ -593,16 +544,15 @@ def save_history_csv(history: Sequence[HistoryRow], path_labels: Sequence[str], 
 def save_model(m: SimilarityModel, filename: str, extra_meta: dict | None = None) -> None:
     """Versioned binary checkpoint: magic, JSON header (schema hash, config,
     paths, parameter index, extra metadata), then raw little-endian float64
-    tensors in canonical parameter order. The file is replaced only once it
+    parameter vector in layout order. The file is replaced only once it
     is written in full."""
-    items = m.param_items()
     header = {
         "format_version": 1,
         "schema_hash": m.graph.schema.content_hash(),
         "target_type": m.graph.target_type,
         "config": asdict(m.cfg),
         "paths": [list(p.relation_ids) for p in m.paths],
-        "params": [{"key": list(k), "shape": list(p.shape)} for k, p in items],
+        "params": [{"key": list(key), "shape": list(shape)} for key, shape in m.layout],
         "meta": extra_meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -610,8 +560,7 @@ def save_model(m: SimilarityModel, filename: str, extra_meta: dict | None = None
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, p in items:
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(m.params, dtype="<f8").tobytes())
 
 
 @dataclass(frozen=True)
@@ -623,7 +572,8 @@ class Checkpoint:
     schema_hash: str
     cfg: LearnerConfig
     paths: tuple[MetaPath, ...]
-    params: tuple[tuple[tuple, np.ndarray], ...]
+    index: tuple[tuple[tuple, tuple], ...]  # each stored parameter's key and shape
+    params: np.ndarray  # flat, in index order
 
     def check_graph(self, g: HeteroGraph) -> None:
         """Raise DataError unless the checkpoint fits ``g``'s schema: its
@@ -634,14 +584,11 @@ class Checkpoint:
         n_rel = len(g.schema.relations)
         if any(not 0 <= rid < n_rel for p in self.paths for rid in p.relation_ids):
             raise DataError(f"{self.filename}: a meta-path names a relation the schema lacks")
-        types = sorted(g.schema.node_types, key=lambda t: t.type_id)
-        d, hops = self.cfg.hidden_dim, self.cfg.num_hops
         bad = DataError(f"{self.filename}: parameter index does not match the model")
-        if len(self.params) != len(types) + len(self.paths) * hops:
+        # count first: the layout of a huge num_hops would not fit in memory
+        if len(self.index) != len(g.schema.node_types) + len(self.paths) * self.cfg.num_hops:
             raise bad
-        expected = [(("in", t.type_id), (t.feature_dim, d)) for t in types]
-        expected += [(("path", p, k), (d, d)) for p in range(len(self.paths)) for k in range(hops)]
-        if [(key, p.shape) for key, p in self.params] != expected:
+        if list(self.index) != param_layout(g, self.cfg, len(self.paths)):
             raise bad
 
     def model(self, g: HeteroGraph, targets: Sequence[SimilarityTargets] | None = None) -> SimilarityModel:
@@ -654,8 +601,7 @@ class Checkpoint:
                 raise DataError("concat-mode checkpoint needs one SimilarityTargets per path")
             dist = [t.df for t in targets]
         model = SimilarityModel(g, self.paths, self.cfg, dist_features=dist)
-        for key, p in self.params:
-            model.set_param(key, p)
+        model.set_params(self.params)
         return model
 
 
@@ -682,29 +628,16 @@ def read_checkpoint(filename: str) -> Checkpoint:
                 raise TypeError(f"config field {f.name!r} holds {config[f.name]!r}")
         cfg = LearnerConfig(**config)  # an unknown field is a TypeError
         paths = tuple(MetaPath(tuple(map(operator.index, ids))) for ids in header["paths"])
-        params, offset = [], 8 + hlen
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])  # a bad one fails below or in Checkpoint.model
-            end = offset + 8 * math.prod(shape)
-            if end > len(data):
-                raise DataError(f"{filename}: truncated parameter data")
-            arr = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
-            params.append((tuple(entry["key"]), arr))
-            offset = end
+        index = tuple((tuple(entry["key"]), tuple(entry["shape"])) for entry in header["params"])
+        # a bad shape fails here or in Checkpoint.check_graph
+        end = 8 + hlen + 8 * sum(math.prod(shape) for _, shape in index)
+        if end > len(data):
+            raise DataError(f"{filename}: truncated parameter data")
+        params = np.frombuffer(data[8 + hlen : end], dtype="<f8")
         schema_hash = header["schema_hash"]
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{filename}: malformed checkpoint header ({type(exc).__name__}: {exc})") from None
-    if offset != len(data):
-        raise DataError(f"{filename}: {len(data) - offset} trailing bytes after the parameters")
-    return Checkpoint(filename, header, schema_hash, cfg, paths, tuple(params))
+    if end != len(data):
+        raise DataError(f"{filename}: {len(data) - end} trailing bytes after the parameters")
+    return Checkpoint(filename, header, schema_hash, cfg, paths, index, params)
 
-
-def load_model(
-    filename: str,
-    g: HeteroGraph,
-    targets: Sequence[SimilarityTargets] | None = None,
-) -> tuple[SimilarityModel, dict]:
-    """Rebuild a model from a checkpoint, bound to ``g``; returns it with the
-    checkpoint header. The schema hash must match."""
-    ckpt = read_checkpoint(filename)
-    return ckpt.model(g, targets), ckpt.header

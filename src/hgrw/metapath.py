@@ -200,9 +200,3 @@ def max_homophily(measured: Iterable[tuple[Homophily | None, Any]]) -> tuple[flo
         raise UndefinedRatioError("no meta-path has a measurable homophily ratio")
     return best
 
-
-def hg_homophily(g: HeteroGraph, max_len: int) -> tuple[float, MetaPath]:
-    """Maximum homophily ratio over all meta-path subgraphs up to max_len,
-    with the path attaining it. Paths with no countable edges are skipped."""
-    paths = enumerate_metapaths(g.schema, g.target_type, max_len)
-    return max_homophily((h, path) for path, _, h in measure_paths(g, paths))

@@ -125,10 +125,3 @@ def _corrective_step(gram: np.ndarray, lam: np.ndarray) -> np.ndarray:
     s = lam.sum()
     return lam / s if s > 0 else np.full(lam.shape[0], 1.0 / lam.shape[0])
 
-
-def weighted_loss(losses: Sequence[float], weights: SimplexWeights) -> float:
-    """Mean over objectives of the weighted per-objective losses."""
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.shape != weights.lambdas.shape:
-        raise ValueError(f"{losses.shape[0]} losses vs {len(weights)} weights")
-    return float(losses @ weights.lambdas) / len(weights)

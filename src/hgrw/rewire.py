@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import atomic_write
 from .errors import DataError
 from .graph import HeteroGraph, HeteroSchema, Relation
 from .learner import SimilarityModel, _path_reps
@@ -246,5 +247,5 @@ def plan_tsv_lines(plans: list[RewirePlan], schema: HeteroSchema) -> list[str]:
 
 
 def save_plan_tsv(plans: list[RewirePlan], schema: HeteroSchema, filename: str) -> None:
-    with open(filename, "w", encoding="utf-8") as fh:
+    with atomic_write(filename, "w", encoding="utf-8") as fh:
         fh.write("\n".join(plan_tsv_lines(plans, schema)) + "\n")

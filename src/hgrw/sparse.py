@@ -37,11 +37,6 @@ class CsrMatrix:
         return cls(shape[0], shape[1], m.indptr.astype(np.int64), m.indices.astype(np.int64))
 
     @classmethod
-    def identity(cls, n: int) -> "CsrMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx)
-
-    @classmethod
     def empty(cls, n_rows: int, n_cols: int) -> "CsrMatrix":
         return cls(n_rows, n_cols, np.zeros(n_rows + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
@@ -59,9 +54,6 @@ class CsrMatrix:
 
     def transpose(self) -> "CsrMatrix":
         return CsrMatrix.from_coo(self.col_indices, self.coo_rows(), (self.n_cols, self.n_rows))
-
-    def row_cols(self, i: int) -> np.ndarray:
-        return self.col_indices[self.row_offsets[i] : self.row_offsets[i + 1]]
 
     def check(self, label: str = "csr") -> list[str]:
         """Return human-readable invariant violations (empty when canonical)."""
@@ -87,14 +79,6 @@ class CsrMatrix:
         if unsorted.size:
             bad.append(f"{label}: row {int(unsorted[0])} columns not strictly increasing")
         return bad
-
-    def same_structure(self, other: "CsrMatrix") -> bool:
-        return (
-            self.n_rows == other.n_rows
-            and self.n_cols == other.n_cols
-            and np.array_equal(self.row_offsets, other.row_offsets)
-            and np.array_equal(self.col_indices, other.col_indices)
-        )
 
 
 def row_normalize(a: CsrMatrix) -> sp.csr_matrix:

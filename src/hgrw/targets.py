@@ -79,18 +79,6 @@ def neighborhood_distributions(
     )
 
 
-def centered_cosine(x: np.ndarray, y: np.ndarray, mean: np.ndarray) -> float:
-    """Cosine of (x - mean) and (y - mean); 0 when either side is (nearly)
-    the zero vector, so degenerate pairs carry no signal."""
-    cx = np.asarray(x, dtype=np.float64) - mean
-    cy = np.asarray(y, dtype=np.float64) - mean
-    nx = float(np.linalg.norm(cx))
-    ny = float(np.linalg.norm(cy))
-    if nx < ZERO_NORM_CUTOFF or ny < ZERO_NORM_CUTOFF:
-        return 0.0
-    return float(cx @ cy) / (nx * ny)
-
-
 def centered_unit_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Center columns by their mean, then scale rows to unit norm; returns
     the unit rows and the centered norms.
@@ -109,9 +97,9 @@ def centered_unit_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SimilarityTargets:
     """Read-only handle over target similarities for one meta-path.
 
-    attr_target/label_target return the product over hops of centered cosine
-    similarities between the two nodes' hop distributions. Block accessors
-    evaluate rows x cols windows without materializing the full matrix.
+    A pair's target is the product over hops of centered cosine similarities
+    between the two nodes' hop distributions. Block accessors evaluate
+    rows x cols windows without materializing the full matrix.
     """
 
     def __init__(self, df: DistributionFeatures):
@@ -168,15 +156,6 @@ class SimilarityTargets:
                 self._full_cache["mask"] = np.outer(self.mask, self.mask)
             return self._full_cache["mask"]
         return np.outer(self.mask[rows], self.mask[cols])
-
-    def attr_target(self, i: int, j: int) -> float:
-        return float(self.attr_block(np.array([i]), np.array([j]))[0, 0])
-
-    def label_target(self, i: int, j: int) -> float:
-        return float(self.label_block(np.array([i]), np.array([j]))[0, 0])
-
-    def pair_mask(self, i: int, j: int) -> float:
-        return float(self.mask[i] * self.mask[j])
 
 
 def similarity_targets(

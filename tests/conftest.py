@@ -102,3 +102,17 @@ def star_graph() -> HeteroGraph:
         num_classes=2,
         train=[1, 2],
     )
+
+
+def same_structure(a: CsrMatrix, b: CsrMatrix) -> bool:
+    """Equal shapes and equal stored entries."""
+    return (
+        (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
+        and np.array_equal(a.row_offsets, b.row_offsets)
+        and np.array_equal(a.col_indices, b.col_indices)
+    )
+
+
+def csr_identity(n: int) -> CsrMatrix:
+    idx = np.arange(n, dtype=np.int64)
+    return CsrMatrix(n, n, np.arange(n + 1, dtype=np.int64), idx)

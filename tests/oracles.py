@@ -10,10 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from hgrw.graph import HeteroGraph
-from hgrw.learner import GradientResult, PairBatch, SimilarityModel, _path_reps, pair_loss
+from hgrw.learner import GradientResult, PairBatch, SimilarityModel, _path_reps, param_views
 from hgrw.metapath import MetaPath, MetaPathSubgraph
 from hgrw.sparse import CsrMatrix
 from hgrw.targets import ZERO_NORM_CUTOFF
+
+
+def row_cols(adj: CsrMatrix, i: int) -> np.ndarray:
+    """Column indices stored in row ``i``."""
+    return adj.col_indices[adj.row_offsets[i] : adj.row_offsets[i + 1]]
 
 
 def dense_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -46,7 +51,7 @@ def dfs_compose_pairs(g: HeteroGraph, path: MetaPath, symmetrize: bool = True) -
     hops = []
     for rid in path.relation_ids:
         adj = g.adjacency[rid]
-        hops.append([set(adj.row_cols(i).tolist()) for i in range(adj.n_rows)])
+        hops.append([set(row_cols(adj, i).tolist()) for i in range(adj.n_rows)])
     n_start = len(hops[0])
     pairs: set[tuple[int, int]] = set()
     for start in range(n_start):
@@ -69,7 +74,7 @@ def dfs_compose_pairs(g: HeteroGraph, path: MetaPath, symmetrize: bool = True) -
 def csr_pairs(adj: CsrMatrix) -> set[tuple[int, int]]:
     out = set()
     for i in range(adj.n_rows):
-        for j in adj.row_cols(i):
+        for j in row_cols(adj, i):
             out.add((i, int(j)))
     return out
 
@@ -89,7 +94,7 @@ def edge_scan_hr(adj: CsrMatrix, labels: np.ndarray) -> float | None:
     unlabeled endpoint; None when nothing is countable."""
     same = counted = total = 0
     for i in range(adj.n_rows):
-        for j in adj.row_cols(i):
+        for j in row_cols(adj, i):
             total += 1
             li, lj = int(labels[i]), int(labels[int(j)])
             if li >= 0 and lj >= 0:
@@ -99,6 +104,18 @@ def edge_scan_hr(adj: CsrMatrix, labels: np.ndarray) -> float | None:
     if total == 0 or counted == 0:
         return None
     return same / counted
+
+
+def centered_cosine(x: np.ndarray, y: np.ndarray, mean: np.ndarray) -> float:
+    """Cosine of (x - mean) and (y - mean); 0 when either side is (nearly)
+    the zero vector, so degenerate pairs carry no signal."""
+    cx = np.asarray(x, dtype=np.float64) - mean
+    cy = np.asarray(y, dtype=np.float64) - mean
+    nx = float(np.linalg.norm(cx))
+    ny = float(np.linalg.norm(cy))
+    if nx < ZERO_NORM_CUTOFF or ny < ZERO_NORM_CUTOFF:
+        return 0.0
+    return float(cx @ cy) / (nx * ny)
 
 
 def dense_target_matrices(
@@ -117,18 +134,28 @@ def dense_target_matrices(
         cur_x = walk @ cur_x
         cur_y = walk @ cur_y
         for mat, acc in ((cur_x, sx), (cur_y, sy)):
-            centered = mat - mat.mean(axis=0)
-            norms = np.sqrt((centered * centered).sum(axis=1))
-            hop = np.zeros((n, n))
-            for i in range(n):
-                if norms[i] < 1e-12:
-                    continue
-                for j in range(n):
-                    if norms[j] < 1e-12:
-                        continue
-                    hop[i, j] = float(centered[i] @ centered[j]) / (norms[i] * norms[j])
-            acc *= hop
+            mean = mat.mean(axis=0)
+            acc *= [[centered_cosine(mat[i], mat[j], mean) for j in range(n)] for i in range(n)]
     return sx, sy
+
+
+def similarity_block(m: SimilarityModel, path: MetaPath, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The model's rows x cols similarity window: the product over hops of
+    unit-row Gram blocks."""
+    out = np.ones((len(rows), len(cols)))
+    for rep in _path_reps(m, path):
+        out *= rep.units[rows] @ rep.units[cols].T
+    return out
+
+
+def pair_loss(m: SimilarityModel, path: MetaPath, batch: PairBatch, targets) -> tuple[float, float]:
+    """Squared-error sums of the batch window against the attribute targets
+    (first value) and the masked label targets (second value)."""
+    s = similarity_block(m, path, batch.rows, batch.cols)
+    r1 = s - targets.attr_block(batch.rows, batch.cols)
+    r2 = s - targets.label_block(batch.rows, batch.cols)
+    mb = targets.mask_block(batch.rows, batch.cols)
+    return float((r1 * r1).sum()), float((mb * r2 * r2).sum())
 
 
 def fd_gradients(
@@ -139,31 +166,24 @@ def fd_gradients(
     include_attr: bool = True,
     include_label: bool = True,
     h: float = 1e-4,
-) -> dict[tuple, np.ndarray]:
+) -> np.ndarray:
     """Central finite differences of the selected loss terms over every
-    parameter entry."""
+    entry of the model's flat parameter vector."""
 
-    def loss() -> float:
+    def loss(params: np.ndarray) -> float:
+        model.set_params(params)
         l1, l2 = pair_loss(model, path, batch, targets)
         return (l1 if include_attr else 0.0) + (l2 if include_label else 0.0)
 
-    out: dict[tuple, np.ndarray] = {}
-    for key, param in model.param_items():
-        grad = np.zeros_like(param)
-        base = param.copy()
-        for idx in np.ndindex(param.shape):
-            plus = base.copy()
-            plus[idx] += h
-            model.set_param(key, plus)
-            lp = loss()
-            minus = base.copy()
-            minus[idx] -= h
-            model.set_param(key, minus)
-            lm = loss()
-            grad[idx] = (lp - lm) / (2.0 * h)
-        model.set_param(key, base)
-        out[key] = grad
-    return out
+    base = model.params.copy()
+    grad = np.zeros_like(base)
+    for idx in range(base.size):
+        plus, minus = base.copy(), base.copy()
+        plus[idx] += h
+        minus[idx] -= h
+        grad[idx] = (loss(plus) - loss(minus)) / (2.0 * h)
+    model.set_params(base)
+    return grad
 
 
 def dense_gradients(
@@ -195,7 +215,8 @@ def dense_gradients(
         g_s += 2.0 * mb * r2
 
     n_all = int(m.type_offsets[-1])
-    w_path_grads = []
+    grad = np.zeros_like(m.params)
+    grads = param_views(grad, m.layout)
     dz_global = [np.zeros((n_all, d)) for _ in range(k_hops)]
     for k, rep in enumerate(reps):
         loo = g_s * np.prod([hop_sims[l] for l in range(k_hops) if l != k], axis=0)
@@ -209,17 +230,16 @@ def dense_gradients(
         np.add.at(d_centered, rows, da)
         np.add.at(d_centered, cols, db)
         d_h = (d_centered - d_centered.mean(axis=0))[:, :d]
-        w_path_grads.append(rep.z_target.T @ d_h)
+        grads["path", pidx, k][...] = rep.z_target.T @ d_h
         dz_global[k][m.target_slice] = d_h @ m.w_path[pidx][k].T
 
     acc = np.zeros((n_all, d))
     for k in range(k_hops - 1, -1, -1):
         acc = np.asarray(m._walk_sp_t @ (acc + dz_global[k]))
-    w_in = {}
     for t in m.graph.schema.node_types:
         lo, hi = int(m.type_offsets[t.type_id]), int(m.type_offsets[t.type_id + 1])
-        w_in[t.type_id] = np.asarray(m.graph.features[t.type_id], dtype=np.float64).T @ acc[lo:hi]
-    return GradientResult(l1=float((r1 * r1).sum()), l2=float((mb * r2 * r2).sum()), w_in=w_in, w_path=w_path_grads)
+        grads["in", t.type_id][...] = np.asarray(m.graph.features[t.type_id], dtype=np.float64).T @ acc[lo:hi]
+    return GradientResult(float((r1 * r1).sum()), float((mb * r2 * r2).sum()), grad)
 
 
 def _simplex_grid(m: int, step: float) -> np.ndarray:

@@ -11,13 +11,13 @@ import numpy as np
 from hgrw.cli import main
 from hgrw.dataio import load_graph
 from hgrw.diagnostics import ComplexityInputs, ari, complexity_measure, mean_aggregation
-from hgrw.learner import LearnerConfig, PairBatch, SimilarityModel, gradients
-from hgrw.metapath import MetaPath, compose_metapath, enumerate_metapaths, hg_homophily, homophily_ratio
+from hgrw.learner import LearnerConfig, PairBatch, SimilarityModel, gradients, param_views
+from hgrw.metapath import MetaPath, compose_metapath, enumerate_metapaths, homophily_ratio, max_homophily, measure_paths
 from hgrw.multiobjective import min_norm_point
 from hgrw.synth import SynthConfig, synth_generate
 from hgrw.targets import TargetsConfig, similarity_targets
 
-from conftest import random_hetero_graph
+from conftest import random_hetero_graph, same_structure
 from oracles import (
     csr_pairs,
     dfs_compose_pairs,
@@ -53,7 +53,8 @@ def test_c02_homophily_matches_edge_scan_oracle():
     for _ in range(100):
         g = random_hetero_graph(rng, max_nodes=30)
         values = {}
-        for path in enumerate_metapaths(g.schema, g.target_type, 2):
+        paths = enumerate_metapaths(g.schema, g.target_type, 2)
+        for path in paths:
             sub = compose_metapath(g, path)
             expected = edge_scan_hr(sub.adjacency, g.labels)
             if expected is None:
@@ -62,7 +63,7 @@ def test_c02_homophily_matches_edge_scan_oracle():
             values[path.relation_ids] = expected
             checked += 1
         if values:
-            mh, best = hg_homophily(g, 2)
+            mh, best = max_homophily((h, path) for path, _, h in measure_paths(g, paths))
             assert mh == max(values.values())
             assert values[best.relation_ids] == mh
     elapsed = time.monotonic() - t0
@@ -93,8 +94,8 @@ def test_c03_lazy_targets_match_dense_materialization():
             float(np.abs(tg.label_block(idx, idx) - sy).max()),
         )
         for i, j in [(0, 0), (3, 97), (42, 17)]:
-            assert abs(tg.attr_target(i, j) - sx[i, j]) < 1e-12
-            assert abs(tg.label_target(i, j) - sy[i, j]) < 1e-12
+            assert abs(tg.attr_block(np.array([i]), np.array([j]))[0, 0] - sx[i, j]) < 1e-12
+            assert abs(tg.label_block(np.array([i]), np.array([j]))[0, 0] - sy[i, j]) < 1e-12
     elapsed = time.monotonic() - t0
     assert worst < 1e-12
     assert elapsed < 10.0
@@ -126,10 +127,10 @@ def test_c04_gradients_match_finite_differences():
                 model = SimilarityModel(g, [path], cfg, dist_features=[df] if concat else None)
                 res = gradients(model, path, batch, tg)
                 ref = fd_gradients(model, path, batch, tg, h=1e-4)
-                for key, _ in model.param_items():
-                    analytic = res.w_in[key[1]] if key[0] == "in" else res.w_path[key[2]]
-                    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(ref[key])), 1e-6)
-                    rel = float((np.abs(analytic - ref[key]) / denom).max())
+                numeric = param_views(ref, model.layout)
+                for key, analytic in param_views(res.grad, model.layout).items():
+                    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric[key])), 1e-6)
+                    rel = float((np.abs(analytic - numeric[key]) / denom).max())
                     worst = max(worst, rel)
                     checked += analytic.size
                 assert worst < 1e-4
@@ -249,7 +250,7 @@ def test_c09_determinism_and_identity(tmp_path):
                  "--edge-budget", "0", "--gamma", "-1.0"]) == 0
     a, b = load_graph(ds), load_graph(noop)
     assert a.schema == b.schema
-    assert all(x.same_structure(y) for x, y in zip(a.adjacency, b.adjacency))
+    assert all(same_structure(x, y) for x, y in zip(a.adjacency, b.adjacency))
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a.features, b.features))
     assert np.array_equal(a.labels, b.labels) and np.array_equal(a.splits, b.splits)
 

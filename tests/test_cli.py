@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +110,49 @@ def test_rejected_flag_value_is_usage_error(command, flags, dataset, trained_mod
     assert capsys.readouterr().err.startswith("hgrw: usage error:")
 
 
+def _manifest_edit(*keys, value=None):
+    """A manifest edit that stores ``value`` at the path ``keys``, or drops
+    the field there when no value is given."""
+
+    def edit(manifest):
+        doc = manifest
+        for key in keys[:-1]:
+            doc = doc[key]
+        if value is None:
+            del doc[keys[-1]]
+        else:
+            doc[keys[-1]] = value
+        return manifest
+
+    return edit
+
+
+BAD_MANIFESTS = {
+    "missing node_types": _manifest_edit("node_types"),
+    "missing relations": _manifest_edit("relations"),
+    "missing target_type": _manifest_edit("target_type"),
+    "missing feature_file": _manifest_edit("node_types", 0, "feature_file"),
+    "text num_classes": _manifest_edit("num_classes", value="x"),
+    "text count": _manifest_edit("node_types", 0, "count", value="120"),
+    "list manifest": lambda manifest: [manifest],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MANIFESTS))
+def test_malformed_manifest_is_data_error(case, dataset, tmp_path, capsys):
+    d = str(tmp_path / "ds")
+    shutil.copytree(dataset, d)
+    path = os.path.join(d, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(BAD_MANIFESTS[case](manifest), fh)
+    assert main(["inspect", d]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hgrw: data error:") and err.count("\n") == 1
+    assert "manifest.json" in err
+
+
 def _edit_header(edit):
     """A checkpoint corruption that rewrites the JSON header with ``edit``."""
 
@@ -154,7 +199,7 @@ class TestTrain:
     def test_writes_checkpoint_and_history(self, trained_model):
         assert os.path.exists(trained_model)
         csv = trained_model + ".loss.csv"
-        lines = open(csv).read().strip().split("\n")
+        lines = Path(csv).read_text().strip().split("\n")
         header = lines[0].split(",")
         assert header[:2] == ["epoch", "phase"]
         assert any(c.startswith("loss:") for c in header)
@@ -167,14 +212,16 @@ class TestTrain:
                 "--epochs-attr", "6", "--epochs-label", "2", "--seed", "11"]
         assert main(["train", dataset, "--out", out1] + args) == 0
         assert main(["train", dataset, "--out", out2] + args) == 0
-        assert open(out1 + ".loss.csv", "rb").read() == open(out2 + ".loss.csv", "rb").read()
+        assert Path(out1 + ".loss.csv").read_bytes() == Path(out2 + ".loss.csv").read_bytes()
 
-    def test_overflowing_learning_rate_is_numeric_failure(self, dataset, tmp_path, capsys):
+    def test_overflowing_learning_rate_is_numeric_failure(self, dataset, tmp_path, capsys, recwarn):
         out = str(tmp_path / "m.msl")
         assert main(["train", dataset, "--out", out, "--max-path-len", "1",
                      "--epochs-attr", "3", "--epochs-label", "1", "--lr", "1e300"]) == 3
         assert "non-finite loss" in capsys.readouterr().err
         assert not os.path.exists(out)
+        # the exit message explains the failure; numpy adds no warnings
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_no_paths_is_data_error(self, tmp_path):
         g = make_graph(
@@ -211,9 +258,9 @@ class TestRewire:
     def test_pipeline_outputs(self, dataset, trained_model, tmp_path):
         out = str(tmp_path / "rw")
         assert main(["rewire", dataset, "--model", trained_model, "--out", out]) == 0
-        report = json.load(open(os.path.join(out, "homophily_report.json")))
+        report = json.loads(Path(out, "homophily_report.json").read_text())
         assert {"paths", "mh_before", "mh_after"} <= set(report)
-        plan_lines = open(os.path.join(out, "rewire_plan.tsv")).read().strip().split("\n")
+        plan_lines = Path(out, "rewire_plan.tsv").read_text().strip().split("\n")
         assert plan_lines[0] == "metapath\top\ti\tj\tscore"
         rewired = load_graph(out)
         assert any(r.name.startswith("rw:") for r in rewired.schema.relations)
@@ -252,7 +299,7 @@ class TestDiag:
     def test_report_schema(self, dataset, tmp_path):
         report = str(tmp_path / "diag.json")
         assert main(["diag", dataset, "--report", report, "--max-path-len", "1"]) == 0
-        doc = json.load(open(report))
+        doc = json.loads(Path(report).read_text())
         assert set(doc) == {"paths", "mh"}
         for row in doc["paths"]:
             assert {"metapath", "hr", "coverage", "edges", "complexity"} == set(row)

@@ -11,7 +11,7 @@ from hgrw.graph import TRAIN
 from hgrw.metapath import MetaPath, compose_metapath, homophily_ratio
 from hgrw.synth import SynthConfig, synth_generate
 
-from conftest import make_graph
+from conftest import make_graph, same_structure
 
 
 def toy_graph():
@@ -43,7 +43,7 @@ def use_tsv_features(directory, features) -> None:
 def graphs_equal(a, b) -> bool:
     if a.schema != b.schema or a.target_type != b.target_type or a.num_classes != b.num_classes:
         return False
-    if not all(x.same_structure(y) for x, y in zip(a.adjacency, b.adjacency)):
+    if not all(same_structure(x, y) for x, y in zip(a.adjacency, b.adjacency)):
         return False
     if not all(x.tobytes() == y.tobytes() for x, y in zip(a.features, b.features)):
         return False
@@ -203,9 +203,9 @@ class TestSynth:
 
     def test_aux_relations_are_mutual_transposes(self):
         g = synth_generate(SynthConfig(target_nodes=50, aux_sizes=(12,), aux_homophily=(0.8,), seed=2))
-        fwd = g.relation_adjacency("to_aux0")
-        bwd = g.relation_adjacency("from_aux0")
-        assert fwd.transpose().same_structure(bwd)
+        fwd = g.adjacency[g.schema.relation_named("to_aux0").rel_id]
+        bwd = g.adjacency[g.schema.relation_named("from_aux0").rel_id]
+        assert same_structure(fwd.transpose(), bwd)
 
     def test_degree_is_approximately_uniform(self):
         g = synth_generate(SynthConfig(target_nodes=400, mean_degree=10.0, self_homophily=(0.5,), seed=7))

@@ -1,9 +1,12 @@
+import contextlib
+import errno
 import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hgrw import learner
 from hgrw.errors import DataError, NumericError
 from hgrw.learner import (
     HistoryRow,
@@ -11,14 +14,11 @@ from hgrw.learner import (
     PairBatch,
     SimilarityModel,
     _path_reps,
-    full_batch,
     gradients,
-    load_model,
-    pair_loss,
+    param_views,
     read_checkpoint,
     save_history_csv,
     save_model,
-    similarity_block,
     train,
 )
 from hgrw.metapath import MetaPath, compose_metapath, enumerate_metapaths
@@ -27,7 +27,7 @@ from hgrw.synth import SynthConfig, synth_generate
 from hgrw.targets import TargetsConfig, similarity_targets
 
 from conftest import make_graph, symmetric_edges
-from oracles import dense_gradients, fd_gradients, model_similarity
+from oracles import dense_gradients, fd_gradients, model_similarity, pair_loss, similarity_block
 
 
 class StaticTargets:
@@ -53,6 +53,17 @@ class StaticTargets:
 
     def mask_block(self, rows, cols):
         return np.outer(self.mask[rows], self.mask[cols])
+
+
+def full_batch(n):
+    return PairBatch(np.arange(n), np.arange(n))
+
+
+def replace_param(model, key, value):
+    """Set one parameter of ``model`` through its flat vector."""
+    params = model.params.copy()
+    param_views(params, model.layout)[key][...] = value
+    model.set_params(params)
 
 
 def unit_rows(model, path):
@@ -87,7 +98,7 @@ class TestEncode:
         edges = symmetric_edges([(0, 1), (1, 2)])
         g = make_graph({"n": 3}, [("r", "n", "n", edges)], "n", labels=[0, 1, 0], feature_dim=3)
         model = SimilarityModel(g, [MetaPath((0,))], LearnerConfig(hidden_dim=3, num_hops=1))
-        model.set_param(("in", 0), np.eye(3))
+        replace_param(model, ("in", 0), np.eye(3))
         z = model.encodings()[0]
         expected = row_normalize(g.adjacency[0]) @ g.features[0].astype(np.float64)
         assert np.allclose(z, expected, atol=1e-12)
@@ -119,8 +130,7 @@ class TestEncode:
     def test_cache_tracks_parameter_updates(self):
         g, paths, _, model = planted_instance()
         z1 = model.encodings()[0].copy()
-        key, param = model.param_items()[0]
-        model.set_param(key, param + 0.1)
+        replace_param(model, ("in", 0), model.w_in[0] + 0.1)
         z2 = model.encodings()[0]
         assert not np.allclose(z1, z2)
 
@@ -187,8 +197,9 @@ class TestPairLoss:
         for i in range(n):
             for j in range(n):
                 s = model_similarity(model, paths[0], i, j)
-                acc1 += (s - tg.attr_target(i, j)) ** 2
-                acc2 += tg.pair_mask(i, j) * (s - tg.label_target(i, j)) ** 2
+                pair = np.array([i]), np.array([j])
+                acc1 += (s - tg.attr_block(*pair)[0, 0]) ** 2
+                acc2 += tg.mask[i] * tg.mask[j] * (s - tg.label_block(*pair)[0, 0]) ** 2
         assert l1 == pytest.approx(acc1, rel=1e-9)
         assert l2 == pytest.approx(acc2, rel=1e-9)
 
@@ -218,8 +229,7 @@ class TestGradients:
         units = unit_rows(model, paths[0])
         stub = StaticTargets(units, units, np.ones(g.target_count))
         res = gradients(model, paths[0], full_batch(g.target_count), stub)
-        for grad in list(res.w_in.values()) + res.w_path:
-            assert np.allclose(grad, 0.0, atol=1e-12)
+        assert np.allclose(res.grad, 0.0, atol=1e-12)
 
     def test_masked_label_gradients_vanish(self):
         g, paths, _, model = planted_instance()
@@ -228,8 +238,7 @@ class TestGradients:
         res = gradients(model, paths[0], full_batch(n), stub,
                         include_attr=False, include_label=True)
         assert res.l2 == 0.0
-        for grad in list(res.w_in.values()) + res.w_path:
-            assert np.allclose(grad, 0.0, atol=1e-15)
+        assert np.allclose(res.grad, 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("num_hops,concat", [(1, False), (2, False), (1, True), (2, True)])
     def test_matches_finite_differences(self, num_hops, concat):
@@ -242,9 +251,8 @@ class TestGradients:
             np.sort(rng.choice(12, size=7, replace=False)),
         )
         res = gradients(model, paths[0], batch, targets[0])
-        ref = fd_gradients(model, paths[0], batch, targets[0])
-        for key, param in model.param_items():
-            analytic = res.w_in[key[1]] if key[0] == "in" else res.w_path[key[2]]
+        ref = param_views(fd_gradients(model, paths[0], batch, targets[0]), model.layout)
+        for key, analytic in param_views(res.grad, model.layout).items():
             err = np.abs(analytic - ref[key])
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(ref[key])), 1e-6)
             assert np.max(err / denom) < 1e-4
@@ -314,18 +322,16 @@ class TestFactoredGradients:
             g, paths, targets, model = cancelling_instance(seed, concat, alpha)
         rng = np.random.default_rng(seed)
         for _ in range(int(rng.integers(0, 3))):  # move off the initial parameters
-            key, param = model.param_items()[int(rng.integers(len(model.param_items())))]
-            model.set_param(key, param + rng.normal(scale=0.3, size=param.shape))
+            key, shape = model.layout[int(rng.integers(len(model.layout)))]
+            replace_param(model, key, param_views(model.params, model.layout)[key]
+                          + rng.normal(scale=0.3, size=shape))
         batch = PairBatch(*window(kind, g.target_count, rng))
         res = gradients(model, paths[0], batch, targets[0], include_attr, include_label)
         ref = dense_gradients(model, paths[0], batch, targets[0], include_attr, include_label)
         assert_close(res.l1, ref.l1)
         assert_close(res.l2, ref.l2)
-        assert res.w_in.keys() == ref.w_in.keys()
-        for tid in ref.w_in:
-            assert_close(res.w_in[tid], ref.w_in[tid])
-        assert len(res.w_path) == len(ref.w_path) == 1
-        assert_close(res.w_path[0], ref.w_path[0])
+        assert res.grad.shape == ref.grad.shape == model.params.shape
+        assert_close(res.grad, ref.grad)
 
     def test_cancelling_instance_has_zero_norm_rows(self):
         _, paths, targets, model = cancelling_instance(seed=0, concat=True, alpha=0.3)
@@ -339,15 +345,14 @@ class TestFactoredGradients:
         res = gradients(model, paths[0], batch, targets[0])
         ref = dense_gradients(model, paths[0], batch, targets[0])
         assert (res.l1, res.l2) == pytest.approx((ref.l1, ref.l2), rel=1e-12)
-        for got, want in zip([*res.w_in.values(), *res.w_path], [*ref.w_in.values(), *ref.w_path]):
-            assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
+        assert np.allclose(res.grad, ref.grad, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("num_hops", [1, 2])
     def test_non_finite_parameters_give_non_finite_losses(self, num_hops):
         # the Gram form clamps its losses at 0.0; the clamp must keep NaN
         g, paths, targets, model = planted_instance(n=14, seed=1, num_hops=num_hops)
-        key, param = model.param_items()[0]
-        model.set_param(key, np.full_like(param, np.nan))
+        key, shape = model.layout[0]
+        replace_param(model, key, np.full(shape, np.nan))
         res = gradients(model, paths[0], full_batch(g.target_count), targets[0])
         assert not np.isfinite(res.l1) and not np.isfinite(res.l2)
 
@@ -374,8 +379,7 @@ class TestTrain:
         m1, h1 = train(g, paths, targets, cfg)
         m2, h2 = train(g, paths, targets, cfg)
         assert h1 == h2
-        for (k1, p1), (k2, p2) in zip(m1.param_items(), m2.param_items()):
-            assert k1 == k2 and np.array_equal(p1, p2)
+        assert m1.layout == m2.layout and np.array_equal(m1.params, m2.params)
 
     def test_attr_loss_decreases_on_planted_instance(self):
         g = synth_generate(SynthConfig(target_nodes=200, num_classes=2, seed=2))
@@ -403,10 +407,10 @@ class TestCheckpoint:
         model, _ = train(g, paths, targets, cfg)
         fn = str(tmp_path / "model.msl")
         save_model(model, fn, extra_meta={"targets": {"num_hops": 1, "alpha": 0.3}})
-        loaded, header = load_model(fn, g)
+        ckpt = read_checkpoint(fn)
+        loaded, header = ckpt.model(g), ckpt.header
         assert header["meta"]["targets"]["alpha"] == 0.3
-        for (k1, p1), (k2, p2) in zip(model.param_items(), loaded.param_items()):
-            assert k1 == k2 and np.array_equal(p1, p2)
+        assert model.layout == loaded.layout and np.array_equal(model.params, loaded.params)
         assert model_similarity(loaded, paths[0], 1, 2) == pytest.approx(
             model_similarity(model, paths[0], 1, 2)
         )
@@ -424,19 +428,36 @@ class TestCheckpoint:
         save_model(model, fn)
         other = synth_generate(SynthConfig(target_nodes=21, num_classes=2, self_homophily=(0.3,), seed=0))
         with pytest.raises(DataError):
-            load_model(fn, other)
+            read_checkpoint(fn).model(other)
 
-    def test_failed_save_keeps_existing_files(self, tmp_path):
+    def test_failed_save_keeps_existing_files(self, tmp_path, monkeypatch):
         g, paths, targets, model = planted_instance(n=20)
         fn = tmp_path / "model.msl"
         save_model(model, str(fn))
         before = fn.read_bytes()
-        # the last parameter cannot be written, after the header and the
-        # first tensors have gone out
-        key, param = model.param_items()[-1]
-        model.set_param(key, np.full(param.shape, "x", dtype=object))
-        with pytest.raises(ValueError):
+        # the disk fills up after the magic, the header length and the header
+        # have gone out, as the parameters are written
+        real_atomic_write = learner.atomic_write
+
+        class DiskFullAfterHeader:
+            def __init__(self, fh):
+                self.fh, self.writes_left = fh, 3
+
+            def write(self, data):
+                if not self.writes_left:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.writes_left -= 1
+                return self.fh.write(data)
+
+        @contextlib.contextmanager
+        def atomic_write(filename, mode, **kwargs):
+            with real_atomic_write(filename, mode, **kwargs) as fh:
+                yield DiskFullAfterHeader(fh)
+
+        monkeypatch.setattr(learner, "atomic_write", atomic_write)
+        with pytest.raises(OSError, match="No space left"):
             save_model(model, str(fn))
+        monkeypatch.undo()
         assert fn.read_bytes() == before
         history = [HistoryRow(1, "attr", (0.5,), (1.0,))]
         save_history_csv(history, ["p"], str(tmp_path / "h.csv"))

@@ -7,8 +7,9 @@ from hgrw.metapath import (
     MetaPath,
     compose_metapath,
     enumerate_metapaths,
-    hg_homophily,
     homophily_ratio,
+    max_homophily,
+    measure_paths,
     path_label,
 )
 
@@ -200,10 +201,16 @@ class TestHomophilyRatio:
         assert homophily_ratio(plain, g.labels) == homophily_ratio(sym, g.labels)
 
 
+def max_path_homophily(g, max_len):
+    """mh over every meta-path up to max_len, the way inspect and diag measure it."""
+    paths = enumerate_metapaths(g.schema, g.target_type, max_len)
+    return max_homophily((h, path) for path, _, h in measure_paths(g, paths))
+
+
 class TestHgHomophily:
     def test_single_path_is_its_ratio(self):
         g = paper_author_graph()
-        mh, best = hg_homophily(g, 2)
+        mh, best = max_path_homophily(g, 2)
         sub = compose_metapath(g, best)
         assert mh == homophily_ratio(sub, g.labels)
 
@@ -217,31 +224,31 @@ class TestHgHomophily:
             "n",
             labels=[0, 0, 0, 1],
         )
-        mh, best = hg_homophily(g, 1)
+        mh, best = max_path_homophily(g, 1)
         assert mh == 0.75
         assert best == MetaPath((1,))
 
     def test_no_measurable_path_raises(self):
         g = make_graph({"n": 3}, [("r", "n", "n", [])], "n", labels=[0, 1, 0])
         with pytest.raises(UndefinedRatioError):
-            hg_homophily(g, 2)
+            max_path_homophily(g, 2)
 
     def test_monotone_in_max_len(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
             g = random_hetero_graph(rng, max_nodes=12)
             try:
-                mh1, _ = hg_homophily(g, 1)
+                mh1, _ = max_path_homophily(g, 1)
             except UndefinedRatioError:
                 mh1 = -1.0
-            mh2, _ = hg_homophily(g, 2)
-            mh3, _ = hg_homophily(g, 3)
+            mh2, _ = max_path_homophily(g, 2)
+            mh3, _ = max_path_homophily(g, 3)
             assert mh1 <= mh2 <= mh3
 
     def test_matches_edge_scan_oracle(self):
         rng = np.random.default_rng(21)
         g = random_hetero_graph(rng, max_nodes=20)
-        mh, best = hg_homophily(g, 2)
+        mh, best = max_path_homophily(g, 2)
         oracle_best = max(
             v
             for v in (

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hgrw.multiobjective import SimplexWeights, min_norm_point, weighted_loss
+from hgrw.multiobjective import SimplexWeights, min_norm_point
 
 from oracles import grid_min_norm_value, two_objective_closed_form
 
@@ -71,23 +71,7 @@ class TestMinNormPoint:
                 assert abs(ours - grid) < 1e-3
 
 
-class TestWeightedLoss:
-    def test_uniform_weights_average(self):
-        w = SimplexWeights(np.full(4, 0.25))
-        assert weighted_loss([2.0, 2.0, 2.0, 2.0], w) == pytest.approx(0.5)
-
-    def test_one_hot_selects(self):
-        w = SimplexWeights(np.array([0.0, 0.0, 1.0]))
-        assert weighted_loss([5.0, 7.0, 9.0], w) == pytest.approx(3.0)
-
-    def test_hand_computed(self):
-        w = SimplexWeights(np.array([0.5, 0.3, 0.2]))
-        assert weighted_loss([1.0, 2.0, 4.0], w) == pytest.approx(0.6333333333333333)
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            weighted_loss([1.0], SimplexWeights(np.array([0.5, 0.5])))
-
+class TestSimplexWeights:
     def test_simplex_validation(self):
         with pytest.raises(ValueError):
             SimplexWeights(np.array([0.7, 0.7]))

@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +13,13 @@ from hgrw.rewire import (
     merge_into_graph,
     plan_tsv_lines,
     rewire_metapath,
+    save_plan_tsv,
     score_candidates,
 )
 from hgrw.synth import SynthConfig, synth_generate
 from hgrw.targets import TargetsConfig, similarity_targets
 
-from conftest import make_graph
+from conftest import make_graph, same_structure
 from oracles import csr_pairs, model_similarity, rewire_with_sets, scan_candidates_per_row
 
 
@@ -91,7 +95,7 @@ class TestRewireMetapath:
         cfg = RewireConfig(edge_budget=0, epsilon=0.6, gamma=-1.0)
         rewired, plan = rewire_metapath(sub, score_candidates(model, path, cfg), model, cfg)
         assert plan.empty
-        assert rewired.adjacency.same_structure(sub.adjacency)
+        assert same_structure(rewired.adjacency, sub.adjacency)
 
     def test_gamma_above_bound_removes_everything(self):
         g, path, model = small_model(n=10, seed=2)
@@ -162,10 +166,10 @@ class TestMerge:
         new_rel = merged.schema.relations[-1]
         assert new_rel.name == "rw:NN"
         assert new_rel.src_type == new_rel.dst_type == g.target_type
-        assert merged.adjacency[-1].same_structure(sub.adjacency)
+        assert same_structure(merged.adjacency[-1], sub.adjacency)
         # original untouched
         for a, b in zip(g.adjacency, merged.adjacency):
-            assert a.same_structure(b)
+            assert same_structure(a, b)
 
     def test_name_collision_raises(self):
         g, path, _ = small_model(n=10, seed=2)
@@ -181,7 +185,7 @@ class TestMerge:
         loaded = load_graph(str(tmp_path / "ds"))
         assert loaded.schema == merged.schema
         for a, b in zip(loaded.adjacency, merged.adjacency):
-            assert a.same_structure(b)
+            assert same_structure(a, b)
 
 
 def test_plan_tsv_format():
@@ -195,6 +199,22 @@ def test_plan_tsv_format():
         label, op, i, j, score = line.split("\t")
         assert op in ("add", "del")
         int(i), int(j), float(score)
+
+
+def test_failed_plan_write_keeps_existing_file(tmp_path):
+    g, path, model = small_model(n=8, seed=1)
+    cfg = RewireConfig(edge_budget=2, epsilon=-2.0)
+    _, plan = rewire_metapath(compose_metapath(g, path), score_candidates(model, path, cfg), model, cfg)
+    target = tmp_path / "rewire_plan.tsv"
+    save_plan_tsv([plan], g.schema, str(target))
+    before = target.read_bytes()
+    # the second plan names a relation the schema lacks, so its lines raise
+    # once the file is open
+    stray = dataclasses.replace(plan, path=MetaPath((7,)))
+    with pytest.raises(IndexError):
+        save_plan_tsv([plan, stray], g.schema, str(target))
+    assert target.read_bytes() == before
+    assert os.listdir(tmp_path) == ["rewire_plan.tsv"]
 
 
 def twin_graph(rng: np.random.Generator, n: int):
@@ -261,4 +281,4 @@ def test_scan_and_apply_match_per_row_and_set_oracles(
     assert plan.additions == want_add
     assert plan.removals == want_del
     assert rewired.symmetric
-    assert rewired.adjacency.same_structure(want_adj)
+    assert same_structure(rewired.adjacency, want_adj)

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from hgrw.sparse import CsrMatrix, bool_spgemm, drop_diagonal, row_normalize, symmetrize_union
 
-from oracles import csr_first_unsorted_row, dense_bool_product, dense_matmul
+from conftest import csr_identity, same_structure
+from oracles import csr_first_unsorted_row, dense_bool_product, dense_matmul, row_cols
 
 
 def random_csr(rng: np.random.Generator, n_rows: int, n_cols: int, density: float = 0.2):
@@ -17,7 +18,7 @@ class TestCsrMatrix:
         m = CsrMatrix.from_coo([1, 0, 1, 1], [2, 0, 0, 2], (2, 3))
         assert m.check() == []
         assert m.nnz == 3  # duplicate (1,2) collapsed
-        assert m.row_cols(1).tolist() == [0, 2]
+        assert row_cols(m, 1).tolist() == [0, 2]
 
     def test_transpose_round_trip(self):
         rng = np.random.default_rng(3)
@@ -90,7 +91,7 @@ class TestSpmm:
 
     def test_identity(self):
         x = np.arange(12.0).reshape(4, 3)
-        assert np.array_equal(row_normalize(CsrMatrix.identity(4)) @ x, x)
+        assert np.array_equal(row_normalize(csr_identity(4)) @ x, x)
 
     def test_zero_matrix(self):
         x = np.ones((4, 2))
@@ -113,7 +114,7 @@ class TestBoolSpgemm:
     def test_identity(self):
         rng = np.random.default_rng(5)
         m, dense = random_csr(rng, 6, 6)
-        out = bool_spgemm(m, CsrMatrix.identity(6))
+        out = bool_spgemm(m, csr_identity(6))
         assert np.array_equal(out.to_dense() > 0, dense > 0)
 
     def test_two_step_path(self):
@@ -143,7 +144,7 @@ class TestBoolSpgemm:
         mats = [random_csr(rng, n, n)[0] for _ in range(3)]
         left = bool_spgemm(bool_spgemm(mats[0], mats[1]), mats[2])
         right = bool_spgemm(mats[0], bool_spgemm(mats[1], mats[2]))
-        assert left.same_structure(right)
+        assert same_structure(left, right)
 
 
 class TestHelpers:

@@ -7,13 +7,12 @@ from hgrw.metapath import MetaPath, compose_metapath
 from hgrw.targets import (
     SimilarityTargets,
     TargetsConfig,
-    centered_cosine,
     neighborhood_distributions,
     similarity_targets,
 )
 
 from conftest import make_graph, symmetric_edges
-from oracles import dense_target_matrices
+from oracles import centered_cosine, dense_target_matrices
 
 
 def build_star():
@@ -118,18 +117,18 @@ class TestSimilarityTargets:
 
     def test_self_pair_is_one(self):
         _, tg = self.build()
-        assert tg.attr_target(0, 0) == pytest.approx(1.0)
+        assert tg.attr_block(np.array([0]), np.array([0]))[0, 0] == pytest.approx(1.0)
 
     def test_symmetric_and_bounded(self):
         _, tg = self.build()
         rng = np.random.default_rng(1)
         for _ in range(30):
-            i, j = rng.integers(0, tg.n, size=2)
-            v = tg.attr_target(int(i), int(j))
-            assert v == pytest.approx(tg.attr_target(int(j), int(i)))
+            i, j = rng.integers(0, tg.n, size=(2, 1))
+            v = tg.attr_block(i, j)[0, 0]
+            assert v == pytest.approx(tg.attr_block(j, i)[0, 0])
             assert -1.0 - 1e-12 <= v <= 1.0 + 1e-12
-            w = tg.label_target(int(i), int(j))
-            assert w == pytest.approx(tg.label_target(int(j), int(i)))
+            w = tg.label_block(i, j)[0, 0]
+            assert w == pytest.approx(tg.label_block(j, i)[0, 0])
             assert -1.0 - 1e-12 <= w <= 1.0 + 1e-12
 
     def test_antipodal_pair_reaches_minus_one(self):
@@ -147,7 +146,7 @@ class TestSimilarityTargets:
         )
         sub = compose_metapath(g, MetaPath((0,)))
         _, tg = similarity_targets(sub, g, TargetsConfig(num_hops=1, alpha=0.0))
-        assert tg.attr_target(0, 1) == pytest.approx(-1.0)
+        assert tg.attr_block(np.array([0]), np.array([1]))[0, 0] == pytest.approx(-1.0)
 
     def test_matches_dense_oracle(self):
         for num_hops in (1, 2):
