@@ -42,7 +42,8 @@ def run(argv=None):
         if rc != 0:
             return rc
 
-    report = json.load(open(os.path.join(out, "homophily_report.json")))
+    with open(os.path.join(out, "homophily_report.json")) as fh:
+        report = json.load(fh)
     print("\nper-path homophily:")
     for row in report["paths"]:
         print(f"  {row['metapath']:<16} {row['hr_before']:.3f} -> {row['hr_after']:.3f}")

@@ -8,7 +8,6 @@ toward higher homophily, and merge the result back into the graph.
 from .diagnostics import (
     ComplexityInputs,
     HomophilyReport,
-    ari,
     complexity_measure,
     homophily_report,
     mean_aggregation,
@@ -29,7 +28,6 @@ from .metapath import (
     MetaPathSubgraph,
     compose_metapath,
     enumerate_metapaths,
-    homophily_ratio,
     path_label,
 )
 from .multiobjective import SimplexWeights, min_norm_point
@@ -41,7 +39,6 @@ from .rewire import (
     rewire_metapath,
     score_candidates,
 )
-from .sparse import CsrMatrix
 from .synth import SynthConfig, synth_generate
 from .targets import (
     DistributionFeatures,
@@ -54,7 +51,6 @@ from .targets import (
 __all__ = [
     "CandidateSet",
     "ComplexityInputs",
-    "CsrMatrix",
     "DataError",
     "DistributionFeatures",
     "HeteroGraph",
@@ -77,11 +73,9 @@ __all__ = [
     "UndefinedMeasureError",
     "UndefinedRatioError",
     "UsageError",
-    "ari",
     "complexity_measure",
     "compose_metapath",
     "enumerate_metapaths",
-    "homophily_ratio",
     "homophily_report",
     "load_graph",
     "mean_aggregation",

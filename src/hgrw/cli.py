@@ -100,7 +100,7 @@ def _cmd_synth(args) -> int:
 def _build_targets(g: HeteroGraph, paths: list[MetaPath], tcfg: TargetsConfig):
     out = []
     for path in paths:
-        sub = compose_metapath(g, path, symmetrize=True)
+        sub = compose_metapath(g, path)
         out.append(similarity_targets(sub, g, tcfg)[1])
     return out
 
@@ -164,7 +164,7 @@ def _cmd_rewire(args) -> int:
 
     plans, changed = [], []
     for path in model.paths:
-        sub = compose_metapath(g, path, symmetrize=True)
+        sub = compose_metapath(g, path)
         cands = score_candidates(model, path, cfg, sub=sub)
         rewired, plan = rewire_metapath(sub, cands, model, cfg)
         plans.append(plan)

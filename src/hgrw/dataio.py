@@ -17,6 +17,7 @@ import re
 import struct
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError
 from .graph import (
@@ -29,7 +30,7 @@ from .graph import (
     Relation,
     validate_graph,
 )
-from .sparse import CsrMatrix
+from .sparse import bool_csr
 
 FORMAT_VERSION = 1
 FEATURE_MAGIC = b"HGF1"
@@ -105,7 +106,7 @@ def read_features_tsv(filename: str, cols: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.float32)
 
 
-def _read_edges(filename: str, n_src: int, n_dst: int) -> CsrMatrix:
+def _read_edges(filename: str, n_src: int, n_dst: int) -> sp.csr_matrix:
     if not os.path.exists(filename):
         raise DataError(f"missing edge file {filename}")
     src, dst = [], []
@@ -127,18 +128,23 @@ def _read_edges(filename: str, n_src: int, n_dst: int) -> CsrMatrix:
                 raise DataError(f"{filename}:{lineno}: dst index {j} out of range [0, {n_dst})")
             src.append(i)
             dst.append(j)
-    return CsrMatrix.from_coo(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), (n_src, n_dst))
+    return bool_csr(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), (n_src, n_dst))
 
 
-def _write_edges(adj: CsrMatrix, filename: str) -> None:
-    rows = adj.coo_rows()
+def _write_edges(adj: sp.csr_matrix, filename: str) -> None:
+    coo = adj.tocoo()
     with open(filename, "w", encoding="utf-8") as fh:
-        for i, j in zip(rows, adj.col_indices):
+        for i, j in zip(coo.row, coo.col):
             fh.write(f"{i}\t{j}\n")
 
 
 def save_graph(g: HeteroGraph, directory: str) -> None:
+    """Write ``g`` into ``directory``, overwriting a dataset already there.
+    The old manifest goes first and the new one is written last, so a save
+    that fails part way leaves a directory that does not load."""
     os.makedirs(directory, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(directory, "manifest.json"))
     taken: set[str] = set()
     node_rows = []
     for t, x in zip(g.schema.node_types, g.features):
@@ -177,7 +183,7 @@ def save_graph(g: HeteroGraph, directory: str) -> None:
         "label_file": "labels.tsv",
         "split_file": "splits.tsv",
     }
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, UndefinedMeasureError
+from .errors import UndefinedMeasureError
 from .graph import HeteroGraph
 from .metapath import MetaPath, MetaPathSubgraph, compose_metapath, max_homophily, path_homophily, path_label
 from .sparse import row_normalize
@@ -72,17 +72,6 @@ def mean_aggregation(sub: MetaPathSubgraph, g: HeteroGraph) -> np.ndarray:
     return row_normalize(sub.adjacency) @ np.asarray(g.features[g.target_type], dtype=np.float64)
 
 
-def ari(before: np.ndarray, after: np.ndarray) -> float:
-    """Average relative improvement, in percent, of paired accuracy readings."""
-    before = np.asarray(before, dtype=np.float64)
-    after = np.asarray(after, dtype=np.float64)
-    if before.shape != after.shape or before.ndim != 1 or before.shape[0] == 0:
-        raise ValueError("before/after must be equal-length non-empty vectors")
-    if np.any(before <= 0):
-        raise NumericError("relative improvement undefined for a zero baseline")
-    return float(np.mean((after - before) / before)) * 100.0
-
-
 @dataclass(frozen=True)
 class PathHomophily:
     label: str
@@ -137,8 +126,8 @@ def _after_subgraph(g_before: HeteroGraph, g_after: HeteroGraph, path: MetaPath)
     name = f"rw:{path_label(g_before.schema, path)}"
     for r in g_after.schema.relations:
         if r.name == name:
-            return compose_metapath(g_after, MetaPath((r.rel_id,)), symmetrize=True)
-    return compose_metapath(g_after, path, symmetrize=True)
+            return compose_metapath(g_after, MetaPath((r.rel_id,)))
+    return compose_metapath(g_after, path)
 
 
 def homophily_report(
@@ -154,7 +143,7 @@ def homophily_report(
     rows, before, after = [], [], []
     for path in paths:
         label = path_label(g_before.schema, path)
-        hb = path_homophily(compose_metapath(g_before, path, symmetrize=True), labels)
+        hb = path_homophily(compose_metapath(g_before, path), labels)
         ha = path_homophily(_after_subgraph(g_before, g_after, path), labels)
         rows.append(PathHomophily(label, hb.ratio, ha.ratio, hb.edges, ha.edges, ha.coverage))
         before.append((hb, label))

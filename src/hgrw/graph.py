@@ -8,8 +8,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .sparse import CsrMatrix
+from .sparse import check_csr
 
 TRAIN, VAL, TEST, UNASSIGNED = 0, 1, 2, 3
 SPLIT_NAMES = {TRAIN: "train", VAL: "val", TEST: "test", UNASSIGNED: "none"}
@@ -78,7 +79,7 @@ class HeteroSchema:
 @dataclass(frozen=True)
 class HeteroGraph:
     schema: HeteroSchema
-    adjacency: tuple[CsrMatrix, ...]
+    adjacency: tuple[sp.csr_matrix, ...]
     features: tuple[np.ndarray, ...]
     labels: np.ndarray
     splits: np.ndarray
@@ -114,10 +115,10 @@ def validate_graph(g: HeteroGraph) -> list[str]:
     else:
         for r, a in zip(g.schema.relations, g.adjacency):
             expected = (g.schema.node_count(r.src_type), g.schema.node_count(r.dst_type))
-            if (a.n_rows, a.n_cols) != expected:
-                bad.append(f"relation {r.name!r}: adjacency shape {(a.n_rows, a.n_cols)} != {expected}")
+            if a.shape != expected:
+                bad.append(f"relation {r.name!r}: adjacency shape {a.shape} != {expected}")
                 continue
-            bad.extend(a.check(label=f"relation {r.name!r}"))
+            bad.extend(check_csr(a, label=f"relation {r.name!r}"))
 
     if len(g.features) != len(g.schema.node_types):
         bad.append(f"feature matrix count {len(g.features)} != node type count")

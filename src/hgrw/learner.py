@@ -28,13 +28,14 @@ from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .dataio import atomic_write
 from .errors import DataError, NumericError
 from .graph import HeteroGraph
 from .metapath import MetaPath
 from .multiobjective import min_norm_point
-from .sparse import CsrMatrix, row_normalize
+from .sparse import bool_csr, row_normalize
 from .targets import ZERO_NORM_CUTOFF, DistributionFeatures, SimilarityTargets, centered_unit_rows
 
 CHECKPOINT_MAGIC = b"MSL1"
@@ -72,7 +73,7 @@ class PairBatch:
     cols: np.ndarray
 
 
-def union_adjacency(g: HeteroGraph) -> tuple[CsrMatrix, np.ndarray]:
+def union_adjacency(g: HeteroGraph) -> tuple[sp.csr_matrix, np.ndarray]:
     """Type-blind union of all relation edges under a global node indexing.
 
     Returns the boolean adjacency and the per-type global offsets. No self
@@ -81,17 +82,12 @@ def union_adjacency(g: HeteroGraph) -> tuple[CsrMatrix, np.ndarray]:
     counts = [t.node_count for t in g.schema.node_types]
     offsets = np.concatenate([[0], np.cumsum(counts)])
     n_all = int(offsets[-1])
-    rows, cols = [], []
+    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for r, adj in zip(g.schema.relations, g.adjacency):
-        rows.append(adj.coo_rows() + offsets[r.src_type])
-        cols.append(adj.col_indices + offsets[r.dst_type])
-    if rows:
-        all_rows = np.concatenate(rows)
-        all_cols = np.concatenate(cols)
-    else:
-        all_rows = np.zeros(0, dtype=np.int64)
-        all_cols = np.zeros(0, dtype=np.int64)
-    return CsrMatrix.from_coo(all_rows, all_cols, (n_all, n_all)), offsets
+        coo = adj.tocoo()
+        rows.append(coo.row + offsets[r.src_type])
+        cols.append(coo.col + offsets[r.dst_type])
+    return bool_csr(np.concatenate(rows), np.concatenate(cols), (n_all, n_all)), offsets
 
 
 Layout = list[tuple[tuple, tuple[int, int]]]

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError, UndefinedRatioError
 from .graph import HeteroGraph, HeteroSchema
-from .sparse import CsrMatrix, bool_spgemm, drop_diagonal, symmetrize_union
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,7 @@ class MetaPath:
 @dataclass(frozen=True)
 class MetaPathSubgraph:
     path: MetaPath
-    adjacency: CsrMatrix
-    symmetric: bool
+    adjacency: sp.csr_matrix
 
 
 def path_type_sequence(schema: HeteroSchema, path: MetaPath) -> tuple[int, ...]:
@@ -64,24 +63,24 @@ def path_label(schema: HeteroSchema, path: MetaPath) -> str:
     return "".join(pieces)
 
 
-def compose_metapath(g: HeteroGraph, path: MetaPath, symmetrize: bool = True) -> MetaPathSubgraph:
+def compose_metapath(g: HeteroGraph, path: MetaPath) -> MetaPathSubgraph:
     """Compose the path's relation matrices into a boolean subgraph over the
-    target type. The diagonal is always removed; when ``symmetrize`` is set
-    the result is the union with its transpose."""
+    target type: the union of the product with its transpose, diagonal
+    removed, canonicalised once at the end."""
     seq = path_type_sequence(g.schema, path)
     if seq[0] != g.target_type or seq[-1] != g.target_type:
         raise DataError(
             f"meta-path {path.relation_ids} runs {seq[0]}->{seq[-1]}, "
             f"must start and end at target type {g.target_type}"
         )
-    acc: CsrMatrix | None = None
-    for rid in path.relation_ids:
-        step = g.adjacency[rid]
-        acc = step if acc is None else bool_spgemm(acc, step)
-    adj = drop_diagonal(acc)
-    if symmetrize:
-        adj = symmetrize_union(adj)
-    return MetaPathSubgraph(path=path, adjacency=adj, symmetric=symmetrize)
+    acc = g.adjacency[path.relation_ids[0]]
+    for rid in path.relation_ids[1:]:
+        acc = acc @ g.adjacency[rid]
+    adj = (acc + acc.T).tocsr()
+    adj.setdiag(False)
+    adj.eliminate_zeros()
+    adj.sort_indices()
+    return MetaPathSubgraph(path=path, adjacency=adj)
 
 
 def _mirror_map(schema: HeteroSchema) -> dict[int, int]:
@@ -155,8 +154,8 @@ def path_homophily(sub: MetaPathSubgraph, labels: np.ndarray) -> Homophily:
     the ratio's numerator and denominator; a subgraph with no countable edge
     raises UndefinedRatioError."""
     labels = np.asarray(labels)
-    rows = sub.adjacency.coo_rows()
-    cols = sub.adjacency.col_indices
+    coo = sub.adjacency.tocoo()
+    rows, cols = coo.row, coo.col
     total = rows.shape[0]
     if total == 0:
         raise UndefinedRatioError("homophily ratio of an empty subgraph is undefined")
@@ -168,19 +167,14 @@ def path_homophily(sub: MetaPathSubgraph, labels: np.ndarray) -> Homophily:
     return Homophily(same / counted, total, counted / total)
 
 
-def homophily_ratio(sub: MetaPathSubgraph, labels: np.ndarray) -> float:
-    """Fraction of edges joining same-label endpoints (see path_homophily)."""
-    return path_homophily(sub, labels).ratio
-
-
 def measure_paths(
     g: HeteroGraph, paths: Iterable[MetaPath]
 ) -> Iterator[tuple[MetaPath, MetaPathSubgraph, Homophily | None]]:
-    """Compose each path (symmetrized) and measure its homophily; None marks
+    """Compose each path and measure its homophily; None marks
     a subgraph without a countable edge. Lazy, so that only one composed
     subgraph is held at a time."""
     for path in paths:
-        sub = compose_metapath(g, path, symmetrize=True)
+        sub = compose_metapath(g, path)
         try:
             h = path_homophily(sub, g.labels)
         except UndefinedRatioError:

@@ -21,7 +21,7 @@ from .errors import DataError
 from .graph import HeteroGraph, HeteroSchema, Relation
 from .learner import SimilarityModel, _path_reps
 from .metapath import MetaPath, MetaPathSubgraph, path_label
-from .sparse import CsrMatrix
+from .sparse import bool_csr
 
 GROUPS = 64  # column groups per score row for the top-k lower bound
 
@@ -126,7 +126,7 @@ def score_candidates(
     sim_buf = np.empty((block, n))
     hop_buf = np.empty_like(sim_buf) if len(units) > 1 else None
     if cfg.restrict_two_hop:
-        adj = sub.adjacency.to_scipy()
+        adj = sub.adjacency
         blocked_buf = np.empty((block, n), dtype=bool)
     floor = float(np.nextafter(cfg.epsilon, np.inf))
 
@@ -174,11 +174,12 @@ def rewire_metapath(
     """Apply additions and prunes to one subgraph; returns the rewired
     subgraph (canonical, symmetric, diagonal-free) and the audit plan.
 
-    An undirected pair {i, j} with i < j is keyed as i * n + j.
+    An undirected pair {i, j} with i < j is keyed as i * n + j, in int64
+    whatever the index type of the adjacency.
     """
-    adj = sub.adjacency
-    n = adj.n_rows
-    rows, cols = adj.coo_rows(), adj.col_indices
+    coo = sub.adjacency.tocoo()
+    n = coo.shape[0]
+    rows, cols = coo.row.astype(np.int64), coo.col.astype(np.int64)
     # a lone directed entry still counts as an existing undirected pair
     existing = np.unique((np.minimum(rows, cols) * n + np.maximum(rows, cols))[rows != cols])
 
@@ -201,8 +202,8 @@ def rewire_metapath(
 
     # both directions of every kept pair: the result is symmetric as built
     lo, hi = np.divmod(np.union1d(existing[~low], keys[new]), n)
-    new_adj = CsrMatrix.from_coo(np.concatenate([lo, hi]), np.concatenate([hi, lo]), (n, n))
-    return MetaPathSubgraph(path=sub.path, adjacency=new_adj, symmetric=True), plan
+    new_adj = bool_csr(np.concatenate([lo, hi]), np.concatenate([hi, lo]), (n, n))
+    return MetaPathSubgraph(path=sub.path, adjacency=new_adj), plan
 
 
 def merge_into_graph(g: HeteroGraph, rewired: list[MetaPathSubgraph]) -> HeteroGraph:
@@ -213,7 +214,7 @@ def merge_into_graph(g: HeteroGraph, rewired: list[MetaPathSubgraph]) -> HeteroG
     taken = {r.name for r in g.schema.relations}
     for sub in rewired:
         n = g.target_count
-        if sub.adjacency.n_rows != n or sub.adjacency.n_cols != n:
+        if sub.adjacency.shape != (n, n):
             raise DataError("rewired subgraph is not over the target type")
         name = f"rw:{path_label(g.schema, sub.path)}"
         if name in taken:

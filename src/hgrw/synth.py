@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError
 from .graph import TEST, TRAIN, VAL, HeteroGraph, HeteroSchema, NodeType, Relation
-from .sparse import CsrMatrix
+from .sparse import bool_csr
 
 _MAX_ATTEMPT_FACTOR = 200
 
@@ -118,22 +119,8 @@ def _sample_pairs(
     return pairs
 
 
-def _symmetric_csr(pairs: set[tuple[int, int]], n: int) -> CsrMatrix:
-    if not pairs:
-        return CsrMatrix.empty(n, n)
-    arr = np.array(sorted(pairs), dtype=np.int64)
-    return CsrMatrix.from_coo(
-        np.concatenate([arr[:, 0], arr[:, 1]]),
-        np.concatenate([arr[:, 1], arr[:, 0]]),
-        (n, n),
-    )
-
-
-def _bipartite_csr(pairs: set[tuple[int, int]], n_src: int, n_dst: int) -> CsrMatrix:
-    if not pairs:
-        return CsrMatrix.empty(n_src, n_dst)
-    arr = np.array(sorted(pairs), dtype=np.int64)
-    return CsrMatrix.from_coo(arr[:, 0], arr[:, 1], (n_src, n_dst))
+def _pair_array(pairs: set[tuple[int, int]]) -> np.ndarray:
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
 
 
 def synth_generate(cfg: SynthConfig) -> HeteroGraph:
@@ -144,14 +131,15 @@ def synth_generate(cfg: SynthConfig) -> HeteroGraph:
     node_types = [NodeType(0, "node", n, cfg.feature_dim)]
     features = [_class_features(rng, labels, cfg)]
     relations: list[Relation] = []
-    adjacency: list[CsrMatrix] = []
+    adjacency: list[sp.csr_matrix] = []
 
     for ridx, p in enumerate(cfg.self_homophily):
         name = f"r{ridx}"
         n_edges = int(round(n * cfg.mean_degree / 2.0))
         pairs = _sample_pairs(rng, labels, labels, p, n_edges, bipartite=False, relation_name=name)
         relations.append(Relation(len(relations), name, 0, 0))
-        adjacency.append(_symmetric_csr(pairs, n))
+        arr = _pair_array(pairs)  # both directions of every pair
+        adjacency.append(bool_csr(arr.ravel(), arr[:, ::-1].ravel(), (n, n)))
 
     for aidx, (size, p) in enumerate(zip(cfg.aux_sizes, cfg.aux_homophily)):
         tname = f"aux{aidx}"
@@ -163,11 +151,11 @@ def synth_generate(cfg: SynthConfig) -> HeteroGraph:
         pairs = _sample_pairs(
             rng, labels, aux_classes, p, n_edges, bipartite=True, relation_name=f"to_{tname}"
         )
-        fwd = _bipartite_csr(pairs, n, size)
+        arr = _pair_array(pairs)
         relations.append(Relation(len(relations), f"to_{tname}", 0, tid))
-        adjacency.append(fwd)
+        adjacency.append(bool_csr(arr[:, 0], arr[:, 1], (n, size)))
         relations.append(Relation(len(relations), f"from_{tname}", tid, 0))
-        adjacency.append(fwd.transpose())
+        adjacency.append(bool_csr(arr[:, 1], arr[:, 0], (size, n)))
 
     splits = np.full(n, TEST, dtype=np.int8)
     for k in range(cfg.num_classes):

@@ -51,7 +51,7 @@ def neighborhood_distributions(
     sub: MetaPathSubgraph, g: HeteroGraph, cfg: TargetsConfig
 ) -> DistributionFeatures:
     n = g.target_count
-    if sub.adjacency.n_rows != n or sub.adjacency.n_cols != n:
+    if sub.adjacency.shape != (n, n):
         raise DataError("subgraph is not over the graph's target type")
     walk = row_normalize(sub.adjacency)
 
@@ -68,8 +68,8 @@ def neighborhood_distributions(
         attr.append(cur_x)
         label.append(cur_y)
 
-    degree = np.diff(sub.adjacency.row_offsets).astype(np.float64)
-    train_neighbors = sub.adjacency.to_scipy() @ train_labeled.astype(np.float64)
+    degree = np.diff(sub.adjacency.indptr).astype(np.float64)
+    train_neighbors = sub.adjacency @ train_labeled.astype(np.float64)
     frac = np.where(degree > 0, train_neighbors / np.where(degree > 0, degree, 1.0), 0.0)
     return DistributionFeatures(
         attr=tuple(attr),

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hgrw.graph import TRAIN, UNASSIGNED, HeteroGraph, HeteroSchema, NodeType, Relation
-from hgrw.sparse import CsrMatrix
+from hgrw.sparse import bool_csr
 
 
 def make_graph(
@@ -27,13 +28,8 @@ def make_graph(
     adjacency = []
     for i, (name, src, dst, edges) in enumerate(relations):
         rels.append(Relation(i, name, tid[src], tid[dst]))
-        if edges:
-            arr = np.array(edges, dtype=np.int64)
-            adjacency.append(
-                CsrMatrix.from_coo(arr[:, 0], arr[:, 1], (node_counts[src], node_counts[dst]))
-            )
-        else:
-            adjacency.append(CsrMatrix.empty(node_counts[src], node_counts[dst]))
+        arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        adjacency.append(bool_csr(arr[:, 0], arr[:, 1], (node_counts[src], node_counts[dst])))
     feats = []
     for name in names:
         if features and name in features:
@@ -104,15 +100,24 @@ def star_graph() -> HeteroGraph:
     )
 
 
-def same_structure(a: CsrMatrix, b: CsrMatrix) -> bool:
+def same_structure(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
     """Equal shapes and equal stored entries."""
     return (
-        (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
-        and np.array_equal(a.row_offsets, b.row_offsets)
-        and np.array_equal(a.col_indices, b.col_indices)
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
     )
 
 
-def csr_identity(n: int) -> CsrMatrix:
-    idx = np.arange(n, dtype=np.int64)
-    return CsrMatrix(n, n, np.arange(n + 1, dtype=np.int64), idx)
+def csr_identity(n: int) -> sp.csr_matrix:
+    return sp.identity(n, dtype=bool, format="csr")
+
+
+def raw_csr(n_rows: int, n_cols: int, offsets, cols) -> sp.csr_matrix:
+    """A boolean CSR matrix holding exactly the given arrays, unchecked: the
+    constructor would reject or trim some broken offsets."""
+    m = sp.csr_matrix((n_rows, n_cols), dtype=bool)
+    m.indptr = np.asarray(offsets, dtype=np.int64)
+    m.indices = np.asarray(cols, dtype=np.int64)
+    m.data = np.ones(m.indices.shape[0], dtype=bool)
+    return m

@@ -8,17 +8,26 @@ kernels it verifies.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
+from hgrw.errors import NumericError
 from hgrw.graph import HeteroGraph
 from hgrw.learner import GradientResult, PairBatch, SimilarityModel, _path_reps, param_views
 from hgrw.metapath import MetaPath, MetaPathSubgraph
-from hgrw.sparse import CsrMatrix
 from hgrw.targets import ZERO_NORM_CUTOFF
 
 
-def row_cols(adj: CsrMatrix, i: int) -> np.ndarray:
+def row_cols(adj: sp.csr_matrix, i: int) -> np.ndarray:
     """Column indices stored in row ``i``."""
-    return adj.col_indices[adj.row_offsets[i] : adj.row_offsets[i + 1]]
+    return adj.indices[adj.indptr[i] : adj.indptr[i + 1]]
+
+
+def pairs_csr(pairs, shape: tuple[int, int]) -> sp.csr_matrix:
+    """Boolean CSR matrix with an entry at each (row, col) pair."""
+    arr = np.array(sorted(set(pairs)), dtype=np.int64).reshape(-1, 2)
+    counts = np.bincount(arr[:, 0], minlength=shape[0])
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix((np.ones(len(arr), dtype=bool), arr[:, 1], offsets), shape=shape)
 
 
 def dense_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -51,7 +60,7 @@ def dfs_compose_pairs(g: HeteroGraph, path: MetaPath, symmetrize: bool = True) -
     hops = []
     for rid in path.relation_ids:
         adj = g.adjacency[rid]
-        hops.append([set(row_cols(adj, i).tolist()) for i in range(adj.n_rows)])
+        hops.append([set(row_cols(adj, i).tolist()) for i in range(adj.shape[0])])
     n_start = len(hops[0])
     pairs: set[tuple[int, int]] = set()
     for start in range(n_start):
@@ -71,9 +80,9 @@ def dfs_compose_pairs(g: HeteroGraph, path: MetaPath, symmetrize: bool = True) -
     return pairs
 
 
-def csr_pairs(adj: CsrMatrix) -> set[tuple[int, int]]:
+def csr_pairs(adj: sp.csr_matrix) -> set[tuple[int, int]]:
     out = set()
-    for i in range(adj.n_rows):
+    for i in range(adj.shape[0]):
         for j in row_cols(adj, i):
             out.add((i, int(j)))
     return out
@@ -89,11 +98,11 @@ def csr_first_unsorted_row(offsets: np.ndarray, cols: np.ndarray) -> int | None:
     return None
 
 
-def edge_scan_hr(adj: CsrMatrix, labels: np.ndarray) -> float | None:
+def edge_scan_hr(adj: sp.csr_matrix, labels: np.ndarray) -> float | None:
     """Eq-by-hand homophily ratio: loop the stored entries, skip pairs with an
     unlabeled endpoint; None when nothing is countable."""
     same = counted = total = 0
-    for i in range(adj.n_rows):
+    for i in range(adj.shape[0]):
         for j in row_cols(adj, i):
             total += 1
             li, lj = int(labels[i]), int(labels[int(j)])
@@ -349,7 +358,7 @@ def scan_candidates_per_row(
         return [np.zeros(0, dtype=np.int64)] * n, [np.zeros(0)] * n
     reps = _path_reps(m, path)
     if sub is not None:
-        adj = sub.adjacency.to_dense() > 0
+        adj = sub.adjacency.toarray()
         reach = adj | ((adj.astype(np.int64) @ adj.astype(np.int64)) > 0)
     indices, scores = [], []
     for start in range(0, n, block_size):
@@ -375,13 +384,13 @@ def rewire_with_sets(
     scores: list[np.ndarray],
     m: SimilarityModel,
     gamma: float,
-) -> tuple[CsrMatrix, list[tuple[int, int, float]], list[tuple[int, int, float]]]:
+) -> tuple[sp.csr_matrix, list[tuple[int, int, float]], list[tuple[int, int, float]]]:
     """Rewiring on Python sets of undirected (low, high) pairs. Every
     candidate that is no existing pair is an addition, in source then rank
     order; existing pairs scoring below gamma are removals, in pair order.
     Returns the symmetric rewired adjacency, additions and removals."""
     adj = sub.adjacency
-    n = adj.n_rows
+    n = adj.shape[0]
     existing = {(min(i, j), max(i, j)) for i, j in csr_pairs(adj) if i != j}
     additions, added = [], set()
     for i in range(len(indices)):
@@ -400,7 +409,16 @@ def rewire_with_sets(
             if score < gamma:
                 removals.append((i, j, score))
                 removed.add((i, j))
-    final = sorted((existing - removed) | added)
-    rows = [i for i, j in final] + [j for i, j in final]
-    cols = [j for i, j in final] + [i for i, j in final]
-    return CsrMatrix.from_coo(rows, cols, (n, n)), additions, removals
+    final = (existing - removed) | added
+    return pairs_csr(final | {(j, i) for i, j in final}, (n, n)), additions, removals
+
+
+def ari(before: np.ndarray, after: np.ndarray) -> float:
+    """Average relative improvement, in percent, of paired accuracy readings."""
+    before = np.asarray(before, dtype=np.float64)
+    after = np.asarray(after, dtype=np.float64)
+    if before.shape != after.shape or before.ndim != 1 or before.shape[0] == 0:
+        raise ValueError("before/after must be equal-length non-empty vectors")
+    if np.any(before <= 0):
+        raise NumericError("relative improvement undefined for a zero baseline")
+    return float(np.mean((after - before) / before)) * 100.0

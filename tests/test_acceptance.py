@@ -5,20 +5,22 @@ import json
 import os
 import resource
 import time
+from pathlib import Path
 
 import numpy as np
 
 from hgrw.cli import main
 from hgrw.dataio import load_graph
-from hgrw.diagnostics import ComplexityInputs, ari, complexity_measure, mean_aggregation
+from hgrw.diagnostics import ComplexityInputs, complexity_measure, mean_aggregation
 from hgrw.learner import LearnerConfig, PairBatch, SimilarityModel, gradients, param_views
-from hgrw.metapath import MetaPath, compose_metapath, enumerate_metapaths, homophily_ratio, max_homophily, measure_paths
+from hgrw.metapath import MetaPath, compose_metapath, enumerate_metapaths, max_homophily, measure_paths, path_homophily
 from hgrw.multiobjective import min_norm_point
 from hgrw.synth import SynthConfig, synth_generate
 from hgrw.targets import TargetsConfig, similarity_targets
 
 from conftest import random_hetero_graph, same_structure
 from oracles import (
+    ari,
     csr_pairs,
     dfs_compose_pairs,
     edge_scan_hr,
@@ -37,7 +39,7 @@ def test_c01_composition_matches_dfs_oracle():
         g = random_hetero_graph(rng, max_nodes=50)
         graphs += 1
         for path in enumerate_metapaths(g.schema, g.target_type, 4):
-            sub = compose_metapath(g, path, symmetrize=True)
+            sub = compose_metapath(g, path)
             assert csr_pairs(sub.adjacency) == dfs_compose_pairs(g, path, symmetrize=True)
             paths_checked += 1
     elapsed = time.monotonic() - t0
@@ -59,7 +61,7 @@ def test_c02_homophily_matches_edge_scan_oracle():
             expected = edge_scan_hr(sub.adjacency, g.labels)
             if expected is None:
                 continue
-            assert homophily_ratio(sub, g.labels) == expected
+            assert path_homophily(sub, g.labels).ratio == expected
             values[path.relation_ids] = expected
             checked += 1
         if values:
@@ -85,7 +87,7 @@ def test_c03_lazy_targets_match_dense_materialization():
         train = g.train_mask & (g.labels >= 0)
         y[np.flatnonzero(train), g.labels[train]] = 1.0
         sx, sy = dense_target_matrices(
-            sub.adjacency.to_dense(), g.features[0].astype(np.float64), y, num_hops
+            sub.adjacency.toarray().astype(np.float64), g.features[0].astype(np.float64), y, num_hops
         )
         idx = np.arange(100)
         worst = max(
@@ -176,7 +178,7 @@ def test_c06_rewiring_raises_homophily(tmp_path):
                      "--seed", str(seed)]) == 0
         assert main(["train", ds, "--out", model, "--seed", str(seed)]) == 0
         assert main(["rewire", ds, "--model", model, "--out", out]) == 0
-        report = json.load(open(os.path.join(out, "homophily_report.json")))
+        report = json.loads(Path(out, "homophily_report.json").read_text())
         best = max(row["hr_after"] - row["hr_before"] for row in report["paths"])
         gains.append(best)
         assert best >= 0.2, f"seed {seed}: best per-path gain {best:.3f} < 0.2"
@@ -241,8 +243,8 @@ def test_c09_determinism_and_identity(tmp_path):
     m1, m2 = str(tmp_path / "m1.msl"), str(tmp_path / "m2.msl")
     assert main(["train", ds, "--out", m1] + args) == 0
     assert main(["train", ds, "--out", m2] + args) == 0
-    assert open(m1 + ".loss.csv", "rb").read() == open(m2 + ".loss.csv", "rb").read()
-    assert open(m1, "rb").read() == open(m2, "rb").read()
+    assert Path(m1 + ".loss.csv").read_bytes() == Path(m2 + ".loss.csv").read_bytes()
+    assert Path(m1).read_bytes() == Path(m2).read_bytes()
 
     # zero-budget, no-prune rewiring is a structural no-op
     noop = str(tmp_path / "noop")
@@ -282,7 +284,7 @@ def test_c10_scale_smoke(tmp_path):
                  "--epochs-attr", "20", "--epochs-label", "5", "--seed", "10"]) == 0
     assert main(["rewire", ds, "--model", model, "--out", out]) == 0
     assert main(["diag", out, "--report", report, "--max-path-len", "1"]) == 0
-    doc = json.load(open(report))
+    doc = json.loads(Path(report).read_text())
     assert doc["paths"]
     elapsed = time.monotonic() - t0
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024**2

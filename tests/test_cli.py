@@ -282,7 +282,7 @@ class TestRewire:
         g = load_graph(dataset)
         reach = {}
         for path in enumerate_metapaths(g.schema, g.target_type, 1):
-            adj = compose_metapath(g, path).adjacency.to_dense().astype(int)
+            adj = compose_metapath(g, path).adjacency.toarray().astype(int)
             reach[path_label(g.schema, path)] = (adj + adj @ adj) > 0
         with open(os.path.join(out, "rewire_plan.tsv")) as fh:
             rows = [line.split("\t") for line in fh.read().splitlines()[1:]]

@@ -1,14 +1,16 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from hgrw import dataio
 from hgrw.cli import main
 from hgrw.dataio import atomic_write, load_graph, read_features_bin, save_graph, write_features_bin
 from hgrw.errors import DataError
 from hgrw.graph import TRAIN
-from hgrw.metapath import MetaPath, compose_metapath, homophily_ratio
+from hgrw.metapath import MetaPath, compose_metapath, path_homophily
 from hgrw.synth import SynthConfig, synth_generate
 
 from conftest import make_graph, same_structure
@@ -78,7 +80,7 @@ class TestRoundTrip:
         x = np.arange(6, dtype=np.float32).reshape(2, 3)
         fn = str(tmp_path / "f.bin")
         write_features_bin(x, fn)
-        raw = open(fn, "rb").read()
+        raw = (tmp_path / "f.bin").read_bytes()
         assert raw[:4] == b"HGF1"
         assert np.array_equal(read_features_bin(fn), x)
 
@@ -142,6 +144,26 @@ class TestLoadErrors:
         with pytest.raises(DataError, match="disagrees"):
             load_graph(d)
 
+    def test_interrupted_overwrite_does_not_load(self, tmp_path, monkeypatch):
+        # A and B share a schema, so a mix of their edge files would parse
+        cfg = SynthConfig(target_nodes=40, aux_sizes=(10,), aux_homophily=(0.5,))
+        a = synth_generate(dataclasses.replace(cfg, seed=1))
+        b = synth_generate(dataclasses.replace(cfg, seed=2))
+        d = str(tmp_path / "ds")
+        save_graph(a, d)
+        write_edges = dataio._write_edges
+
+        def fail_after_first(adj, filename):
+            write_edges(adj, filename)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dataio, "_write_edges", fail_after_first)
+        with pytest.raises(OSError):
+            save_graph(b, d)
+        with pytest.raises(DataError, match="manifest"):
+            load_graph(d)
+        assert main(["inspect", d]) == 2
+
 
 class TestAtomicWrite:
     def test_replaces_target_and_leaves_no_temporary(self, tmp_path):
@@ -168,17 +190,17 @@ class TestSynth:
     def test_full_homophily(self):
         g = synth_generate(SynthConfig(target_nodes=100, self_homophily=(1.0,), seed=0))
         sub = compose_metapath(g, MetaPath((0,)))
-        assert homophily_ratio(sub, g.labels) == 1.0
+        assert path_homophily(sub, g.labels).ratio == 1.0
 
     def test_zero_homophily_two_classes(self):
         g = synth_generate(SynthConfig(target_nodes=100, self_homophily=(0.0,), seed=0))
         sub = compose_metapath(g, MetaPath((0,)))
-        assert homophily_ratio(sub, g.labels) == 0.0
+        assert path_homophily(sub, g.labels).ratio == 0.0
 
     def test_homophily_concentrates(self):
         g = synth_generate(SynthConfig(target_nodes=500, self_homophily=(0.3,), mean_degree=10.0, seed=4))
         sub = compose_metapath(g, MetaPath((0,)))
-        assert abs(homophily_ratio(sub, g.labels) - 0.3) < 0.05
+        assert abs(path_homophily(sub, g.labels).ratio - 0.3) < 0.05
 
     def test_single_class_with_cross_edges_is_infeasible(self):
         with pytest.raises(DataError):
@@ -205,10 +227,10 @@ class TestSynth:
         g = synth_generate(SynthConfig(target_nodes=50, aux_sizes=(12,), aux_homophily=(0.8,), seed=2))
         fwd = g.adjacency[g.schema.relation_named("to_aux0").rel_id]
         bwd = g.adjacency[g.schema.relation_named("from_aux0").rel_id]
-        assert same_structure(fwd.transpose(), bwd)
+        assert same_structure(fwd.T.tocsr(), bwd)
 
     def test_degree_is_approximately_uniform(self):
         g = synth_generate(SynthConfig(target_nodes=400, mean_degree=10.0, self_homophily=(0.5,), seed=7))
-        deg = np.diff(g.adjacency[0].row_offsets)
+        deg = np.diff(g.adjacency[0].indptr)
         assert abs(deg.mean() - 10.0) < 0.5
         assert deg.std() < 2 * np.sqrt(10.0)

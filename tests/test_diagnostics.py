@@ -5,7 +5,6 @@ import pytest
 
 from hgrw.diagnostics import (
     ComplexityInputs,
-    ari,
     complexity_measure,
     homophily_report,
     mean_aggregation,
@@ -13,9 +12,9 @@ from hgrw.diagnostics import (
 from hgrw.errors import NumericError, UndefinedMeasureError
 from hgrw.metapath import MetaPath, compose_metapath
 from hgrw.rewire import merge_into_graph
-from hgrw.sparse import CsrMatrix
 
 from conftest import make_graph, symmetric_edges
+from oracles import ari, pairs_csr
 
 
 class TestComplexityMeasure:
@@ -125,13 +124,8 @@ class TestHomophilyReport:
         g = block_graph()
         # rewired replacement without the cross-block edge
         intra = symmetric_edges([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-        arr = np.array(intra)
         sub = compose_metapath(g, MetaPath((0,)))
-        cleaned = sub.__class__(
-            path=sub.path,
-            adjacency=CsrMatrix.from_coo(arr[:, 0], arr[:, 1], (6, 6)),
-            symmetric=True,
-        )
+        cleaned = sub.__class__(path=sub.path, adjacency=pairs_csr(intra, (6, 6)))
         merged = merge_into_graph(g, [cleaned])
         report = homophily_report(g, merged, [MetaPath((0,))], g.labels)
         row = report.paths[0]

@@ -1,9 +1,7 @@
 import numpy as np
 
 from hgrw.graph import validate_graph
-from hgrw.sparse import CsrMatrix
-
-from conftest import make_graph, symmetric_edges
+from conftest import make_graph, raw_csr, symmetric_edges
 
 
 def two_type_graph():
@@ -25,7 +23,7 @@ def test_well_formed_graph_has_no_violations():
 
 def test_edge_index_out_of_range_is_reported():
     g = two_type_graph()
-    bad = CsrMatrix(3, 2, np.array([0, 1, 1, 1]), np.array([5]))
+    bad = raw_csr(3, 2, [0, 1, 1, 1], [5])
     g = g.__class__(
         schema=g.schema,
         adjacency=(bad, g.adjacency[1]),

@@ -7,9 +7,9 @@ from hgrw.metapath import (
     MetaPath,
     compose_metapath,
     enumerate_metapaths,
-    homophily_ratio,
     max_homophily,
     measure_paths,
+    path_homophily,
     path_label,
 )
 
@@ -52,17 +52,6 @@ class TestCompose:
         g = paper_author_graph()
         with pytest.raises(DataError):
             compose_metapath(g, MetaPath((0,)))
-
-    def test_unsymmetrized_keeps_direction(self):
-        g = make_graph(
-            {"n": 3},
-            [("r", "n", "n", [(0, 1), (1, 2)])],
-            "n",
-            labels=[0, 0, 1],
-        )
-        sub = compose_metapath(g, MetaPath((0,)), symmetrize=False)
-        assert csr_pairs(sub.adjacency) == {(0, 1), (1, 2)}
-        assert not sub.symmetric
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
@@ -149,18 +138,18 @@ class TestHomophilyRatio:
         g = make_graph(
             {"n": 3}, [("r", "n", "n", symmetric_edges([(0, 1), (1, 2)]))], "n", labels=[1, 1, 1]
         )
-        assert homophily_ratio(compose_metapath(g, MetaPath((0,))), g.labels) == 1.0
+        assert path_homophily(compose_metapath(g, MetaPath((0,))), g.labels).ratio == 1.0
 
     def test_hand_computed_half(self):
         edges = symmetric_edges([(0, 1), (0, 2), (1, 2), (2, 3)])
         g = make_graph({"n": 4}, [("r", "n", "n", edges)], "n", labels=[0, 0, 1, 1])
         # matches: (0,1) and (2,3) out of 4 undirected edges
-        assert homophily_ratio(compose_metapath(g, MetaPath((0,))), g.labels) == 0.5
+        assert path_homophily(compose_metapath(g, MetaPath((0,))), g.labels).ratio == 0.5
 
     def test_empty_subgraph_raises(self):
         g = make_graph({"n": 3}, [("r", "n", "n", [])], "n", labels=[0, 1, 0])
         with pytest.raises(UndefinedRatioError):
-            homophily_ratio(compose_metapath(g, MetaPath((0,))), g.labels)
+            path_homophily(compose_metapath(g, MetaPath((0,))), g.labels).ratio
 
     def test_all_unlabeled_raises(self):
         g = make_graph(
@@ -171,12 +160,12 @@ class TestHomophilyRatio:
             num_classes=2,
         )
         with pytest.raises(UndefinedRatioError):
-            homophily_ratio(compose_metapath(g, MetaPath((0,))), g.labels)
+            path_homophily(compose_metapath(g, MetaPath((0,))), g.labels).ratio
 
     def test_unlabeled_endpoints_excluded(self):
         edges = symmetric_edges([(0, 1), (1, 2)])
         g = make_graph({"n": 3}, [("r", "n", "n", edges)], "n", labels=[0, 0, -1], num_classes=2)
-        assert homophily_ratio(compose_metapath(g, MetaPath((0,))), g.labels) == 1.0
+        assert path_homophily(compose_metapath(g, MetaPath((0,))), g.labels).ratio == 1.0
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
@@ -187,18 +176,11 @@ class TestHomophilyRatio:
         perm = rng.permutation(g.num_classes)
         relabeled = np.where(g.labels >= 0, perm[np.clip(g.labels, 0, None)], -1)
         try:
-            base = homophily_ratio(sub, g.labels)
+            base = path_homophily(sub, g.labels).ratio
         except UndefinedRatioError:
             return
-        assert homophily_ratio(sub, relabeled) == base
+        assert path_homophily(sub, relabeled).ratio == base
         assert 0.0 <= base <= 1.0
-
-    def test_symmetrization_preserves_ratio_of_symmetric_relation(self):
-        edges = symmetric_edges([(0, 1), (1, 2), (2, 3)])
-        g = make_graph({"n": 4}, [("r", "n", "n", edges)], "n", labels=[0, 0, 1, 1])
-        plain = compose_metapath(g, MetaPath((0,)), symmetrize=False)
-        sym = compose_metapath(g, MetaPath((0,)), symmetrize=True)
-        assert homophily_ratio(plain, g.labels) == homophily_ratio(sym, g.labels)
 
 
 def max_path_homophily(g, max_len):
@@ -212,7 +194,7 @@ class TestHgHomophily:
         g = paper_author_graph()
         mh, best = max_path_homophily(g, 2)
         sub = compose_metapath(g, best)
-        assert mh == homophily_ratio(sub, g.labels)
+        assert mh == path_homophily(sub, g.labels).ratio
 
     def test_two_paths_hand_values(self):
         # relation a: HR 0.5, relation b: HR 0.75

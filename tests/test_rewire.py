@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from hgrw.errors import DataError
 from hgrw.learner import LearnerConfig, SimilarityModel
-from hgrw.metapath import MetaPath, compose_metapath, homophily_ratio
+from hgrw.metapath import MetaPath, MetaPathSubgraph, compose_metapath, path_homophily
 from hgrw.rewire import (
+    CandidateSet,
     RewireConfig,
     merge_into_graph,
     plan_tsv_lines,
@@ -20,7 +21,14 @@ from hgrw.synth import SynthConfig, synth_generate
 from hgrw.targets import TargetsConfig, similarity_targets
 
 from conftest import make_graph, same_structure
-from oracles import csr_pairs, model_similarity, rewire_with_sets, scan_candidates_per_row
+from oracles import (
+    csr_pairs,
+    dfs_compose_pairs,
+    model_similarity,
+    pairs_csr,
+    rewire_with_sets,
+    scan_candidates_per_row,
+)
 
 
 def small_model(n=6, seed=0):
@@ -81,7 +89,7 @@ class TestScoreCandidates:
         cfg = RewireConfig(edge_budget=12, epsilon=-2.0, restrict_two_hop=True)
         cands = score_candidates(model, path, cfg, sub=sub)
         # allowed partners: one- or two-hop neighbors in the subgraph
-        dense = sub.adjacency.to_dense()
+        dense = sub.adjacency.toarray().astype(int)
         reach = ((dense + dense @ dense) > 0)
         for i in range(12):
             for j in cands.indices[i]:
@@ -142,14 +150,40 @@ class TestRewireMetapath:
         sub = compose_metapath(g, path)
         rcfg = RewireConfig(edge_budget=4, epsilon=0.5, gamma=0.0)
         rewired, plan = rewire_metapath(sub, score_candidates(model, path, rcfg), model, rcfg)
-        hr_before = homophily_ratio(sub, g.labels)
-        hr_after = homophily_ratio(rewired, g.labels)
+        hr_before = path_homophily(sub, g.labels).ratio
+        hr_after = path_homophily(rewired, g.labels).ratio
         assert hr_after > hr_before
         add_same = [g.labels[i] == g.labels[j] for i, j, _ in plan.additions]
         assert np.mean(add_same) > 0.8
         del_cross = [g.labels[i] != g.labels[j] for i, j, _ in plan.removals]
         if plan.removals:
             assert np.mean(del_cross) > 0.5
+
+    def test_pair_keys_past_int32_range(self):
+        # i * n + j passes 2**31 here, while the adjacency stores int32 indices
+        n = 50_000
+        edges = [(0, 49_998), (46_340, 49_999)]
+        g = make_graph({"n": n}, [("r", "n", "n", edges)], "n", labels=[0] * n, feature_dim=1)
+        path = MetaPath((0,))
+        model = SimilarityModel(g, [path], LearnerConfig(hidden_dim=2, seed=0))
+        sub = compose_metapath(g, path)
+        assert sub.adjacency.indices.dtype == np.int32
+        wanted = {0: [49_998], 46_341: [49_999], 49_999: [46_340, 46_341]}
+        cands = CandidateSet(
+            indices=[np.array(wanted.get(i, []), dtype=np.int64) for i in range(n)],
+            scores=[np.full(len(wanted.get(i, [])), 0.8) for i in range(n)],
+        )
+        new = {(46_341, 49_999), (49_999, 46_341)}
+        old = {(i, j) for e in edges for i, j in (e, e[::-1])}
+
+        rewired, plan = rewire_metapath(sub, cands, model, RewireConfig())
+        assert plan.additions == [(46_341, 49_999, 0.8), (49_999, 46_341, 0.8)]
+        assert plan.removals == []
+        assert csr_pairs(rewired.adjacency) == old | new
+
+        rewired, plan = rewire_metapath(sub, cands, model, RewireConfig(gamma=1.01))
+        assert [(i, j) for i, j, _ in plan.removals] == edges
+        assert csr_pairs(rewired.adjacency) == new
 
 
 class TestMerge:
@@ -262,7 +296,10 @@ def test_scan_and_apply_match_per_row_and_set_oracles(
     g = twin_graph(rng, n)
     path = MetaPath((1, 2)) if aux_path else MetaPath((0,))
     model = SimilarityModel(g, [path], LearnerConfig(hidden_dim=4, num_hops=num_hops, seed=seed))
-    sub = compose_metapath(g, path, symmetrize=symmetric)
+    if symmetric:
+        sub = compose_metapath(g, path)
+    else:  # a directed subgraph: its lone directed entries still count as pairs
+        sub = MetaPathSubgraph(path, pairs_csr(dfs_compose_pairs(g, path, symmetrize=False), (n, n)))
     budget = n + int(rng.integers(0, 3)) if budget_at_least_n else int(rng.integers(0, n))
     cfg = RewireConfig(edge_budget=budget, epsilon=epsilon, gamma=gamma,
                        block_size=block_size or n, restrict_two_hop=two_hop)
@@ -280,5 +317,5 @@ def test_scan_and_apply_match_per_row_and_set_oracles(
     want_adj, want_add, want_del = rewire_with_sets(sub, want_idx, want_scores, model, gamma)
     assert plan.additions == want_add
     assert plan.removals == want_del
-    assert rewired.symmetric
+    assert same_structure(rewired.adjacency, rewired.adjacency.T.tocsr())
     assert same_structure(rewired.adjacency, want_adj)

@@ -2,45 +2,61 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hgrw.sparse import CsrMatrix, bool_spgemm, drop_diagonal, row_normalize, symmetrize_union
+from hgrw.graph import HeteroGraph
+from hgrw.metapath import MetaPath, compose_metapath
+from hgrw.sparse import bool_csr, check_csr, row_normalize
 
-from conftest import csr_identity, same_structure
-from oracles import csr_first_unsorted_row, dense_bool_product, dense_matmul, row_cols
+from conftest import csr_identity, make_graph, raw_csr, same_structure
+from oracles import csr_first_unsorted_row, csr_pairs, dense_bool_product, dense_matmul, row_cols
 
 
 def random_csr(rng: np.random.Generator, n_rows: int, n_cols: int, density: float = 0.2):
     dense = (rng.random((n_rows, n_cols)) < density).astype(float)
-    return CsrMatrix.from_coo(*np.nonzero(dense), dense.shape), dense
+    return bool_csr(*np.nonzero(dense), dense.shape), dense
+
+
+def one_relation_graph(edges: list[tuple[int, int]], n: int) -> HeteroGraph:
+    return make_graph({"n": n}, [("r", "n", "n", edges)], "n", labels=[0] * n)
 
 
 class TestCsrMatrix:
+    """The canonical builder and the canonical-form check."""
+
     def test_from_coo_canonicalizes(self):
-        m = CsrMatrix.from_coo([1, 0, 1, 1], [2, 0, 0, 2], (2, 3))
-        assert m.check() == []
+        m = bool_csr([1, 0, 1, 1], [2, 0, 0, 2], (2, 3))
+        assert check_csr(m) == []
         assert m.nnz == 3  # duplicate (1,2) collapsed
         assert row_cols(m, 1).tolist() == [0, 2]
 
     def test_transpose_round_trip(self):
         rng = np.random.default_rng(3)
         m, dense = random_csr(rng, 7, 5)
-        assert np.array_equal(m.transpose().to_dense(), (dense > 0).T)
+        coo = m.tocoo()
+        t = bool_csr(coo.col, coo.row, (5, 7))
+        assert check_csr(t) == []
+        assert np.array_equal(t.toarray(), (dense > 0).T)
 
     def test_check_flags_bad_offsets(self):
-        m = CsrMatrix(2, 2, np.array([0, 2, 1]), np.array([0, 1]))
-        assert any("row_offsets" in msg for msg in m.check())
-
+        m = raw_csr(2, 2, [0, 2, 1], [0, 1])
+        assert any("row_offsets" in msg for msg in check_csr(m))
 
     def test_check_allows_decrease_across_row_boundary(self):
-        m = CsrMatrix(3, 4, np.array([0, 2, 2, 4]), np.array([1, 3, 0, 2]))
-        assert m.check() == []
+        m = raw_csr(3, 4, [0, 2, 2, 4], [1, 3, 0, 2])
+        assert check_csr(m) == []
 
     def test_check_reports_repeat_after_empty_rows(self):
-        m = CsrMatrix(5, 4, np.array([0, 1, 1, 1, 3, 4]), np.array([2, 1, 1, 0]))
-        assert m.check(label="r") == ["r: row 3 columns not strictly increasing"]
+        m = raw_csr(5, 4, [0, 1, 1, 1, 3, 4], [2, 1, 1, 0])
+        assert check_csr(m, label="r") == ["r: row 3 columns not strictly increasing"]
 
     def test_check_reports_unsorted_last_row(self):
-        m = CsrMatrix(2, 4, np.array([0, 2, 5]), np.array([0, 3, 1, 3, 2]))
-        assert m.check() == ["csr: row 1 columns not strictly increasing"]
+        m = raw_csr(2, 4, [0, 2, 5], [0, 3, 1, 3, 2])
+        assert check_csr(m) == ["csr: row 1 columns not strictly increasing"]
+
+    def test_check_reports_false_or_non_bool_values(self):
+        m = bool_csr([0, 1], [1, 0], (2, 2))
+        assert check_csr(m.astype(np.float64), label="r") == ["r: stored values must all be True"]
+        m.data[0] = False
+        assert check_csr(m, label="r") == ["r: stored values must all be True"]
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -53,20 +69,20 @@ class TestCsrMatrix:
             offsets = np.concatenate([[0], inner, [nnz]]) if n_rows else np.array([0])
         else:  # broken offsets are read with slice rules
             offsets = rng.integers(-nnz - 2, nnz + 3, size=n_rows + 1)
-        m = CsrMatrix(n_rows, 5, offsets.astype(np.int64), cols.astype(np.int64))
-        row = csr_first_unsorted_row(m.row_offsets, m.col_indices)
-        flagged = [msg for msg in m.check() if "strictly increasing" in msg]
+        m = raw_csr(n_rows, 5, offsets, cols)
+        row = csr_first_unsorted_row(m.indptr, m.indices)
+        flagged = [msg for msg in check_csr(m) if "strictly increasing" in msg]
         assert flagged == ([] if row is None else [f"csr: row {row} columns not strictly increasing"])
 
 
 class TestRowNormalize:
     def test_uniform_row(self):
-        m = CsrMatrix.from_coo([0] * 4, [0, 1, 2, 3], (1, 4))
+        m = bool_csr([0] * 4, [0, 1, 2, 3], (1, 4))
         out = row_normalize(m)
         assert np.allclose(out.data, 0.25)
 
     def test_empty_row_stays_empty(self):
-        m = CsrMatrix.from_coo([0, 0], [0, 1], (3, 2))
+        m = bool_csr([0, 0], [0, 1], (3, 2))
         out = row_normalize(m)
         assert out.indptr[1] == out.indptr[2] == out.indptr[3]
 
@@ -95,7 +111,7 @@ class TestSpmm:
 
     def test_zero_matrix(self):
         x = np.ones((4, 2))
-        assert np.array_equal(row_normalize(CsrMatrix.empty(3, 4)) @ x, np.zeros((3, 2)))
+        assert np.array_equal(row_normalize(bool_csr([], [], (3, 4))) @ x, np.zeros((3, 2)))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
@@ -107,34 +123,37 @@ class TestSpmm:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            row_normalize(CsrMatrix.empty(2, 3)) @ np.ones((4, 1))
+            row_normalize(bool_csr([], [], (2, 3))) @ np.ones((4, 1))
 
 
 class TestBoolSpgemm:
+    """The product of two canonical matrices is their boolean product."""
+
     def test_identity(self):
         rng = np.random.default_rng(5)
         m, dense = random_csr(rng, 6, 6)
-        out = bool_spgemm(m, csr_identity(6))
-        assert np.array_equal(out.to_dense() > 0, dense > 0)
+        out = m @ csr_identity(6)
+        assert np.array_equal(out.toarray(), dense > 0)
 
     def test_two_step_path(self):
         # p0 -> a0 and a0 -> p1 compose to the single pair (p0, p1)
-        a = CsrMatrix.from_coo([0], [0], (2, 1))
-        b = CsrMatrix.from_coo([0], [1], (1, 2))
-        out = bool_spgemm(a, b)
-        assert out.to_dense().tolist() == [[0, 1], [0, 0]]
+        a = bool_csr([0], [0], (2, 1))
+        b = bool_csr([0], [1], (1, 2))
+        out = a @ b
+        assert out.toarray().tolist() == [[False, True], [False, False]]
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(17)
         a, da = random_csr(rng, 10, 10)
         b, db = random_csr(rng, 10, 10)
-        out = bool_spgemm(a, b)
-        assert np.array_equal(out.to_dense() > 0, dense_bool_product(da > 0, db > 0))
-        assert out.check() == []
+        out = a @ b
+        assert np.array_equal(out.toarray(), dense_bool_product(da > 0, db > 0))
+        out.sort_indices()
+        assert check_csr(out) == []
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            bool_spgemm(CsrMatrix.empty(2, 3), CsrMatrix.empty(4, 2))
+            bool_csr([], [], (2, 3)) @ bool_csr([], [], (4, 2))
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
@@ -142,19 +161,23 @@ class TestBoolSpgemm:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 20))
         mats = [random_csr(rng, n, n)[0] for _ in range(3)]
-        left = bool_spgemm(bool_spgemm(mats[0], mats[1]), mats[2])
-        right = bool_spgemm(mats[0], bool_spgemm(mats[1], mats[2]))
+        left = (mats[0] @ mats[1]) @ mats[2]
+        right = mats[0] @ (mats[1] @ mats[2])
+        left.sort_indices()
+        right.sort_indices()
         assert same_structure(left, right)
 
 
 class TestHelpers:
+    """The diagonal drop and the transpose union that compose_metapath
+    applies in its one canonicalisation."""
+
     def test_drop_diagonal(self):
-        m = CsrMatrix.from_coo([0, 1, 1], [0, 1, 0], (2, 2))
-        out = drop_diagonal(m)
-        assert out.to_dense().tolist() == [[0, 0], [1, 0]]
+        sub = compose_metapath(one_relation_graph([(0, 0), (1, 1), (1, 0)], 2), MetaPath((0,)))
+        assert sub.adjacency.toarray().tolist() == [[False, True], [True, False]]
+        assert check_csr(sub.adjacency) == []
 
     def test_symmetrize_union(self):
-        m = CsrMatrix.from_coo([0], [1], (3, 3))
-        out = symmetrize_union(m)
-        dense = out.to_dense()
-        assert dense[0, 1] == 1 and dense[1, 0] == 1
+        sub = compose_metapath(one_relation_graph([(0, 1)], 3), MetaPath((0,)))
+        assert csr_pairs(sub.adjacency) == {(0, 1), (1, 0)}
+        assert check_csr(sub.adjacency) == []

@@ -151,7 +151,7 @@ class TestSimilarityTargets:
     def test_matches_dense_oracle(self):
         for num_hops in (1, 2):
             g, tg = self.build(n=40, num_hops=num_hops, seed=3)
-            adj = compose_metapath(g, MetaPath((0,))).adjacency.to_dense()
+            adj = compose_metapath(g, MetaPath((0,))).adjacency.toarray().astype(np.float64)
             y = np.zeros((40, 3))
             train = (g.splits == 0) & (g.labels >= 0)
             y[np.flatnonzero(train), g.labels[train]] = 1.0
