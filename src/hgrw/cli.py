@@ -162,19 +162,20 @@ def _cmd_rewire(args) -> int:
         targets = _build_targets(g, ckpt.paths, tcfg)
     model = ckpt.model(g, targets)
 
-    plans, changed = [], []
+    plans, pairs, changed = [], [], []
     for path in model.paths:
         sub = compose_metapath(g, path)
         cands = score_candidates(model, path, cfg, sub=sub)
         rewired, plan = rewire_metapath(sub, cands, model, cfg)
         plans.append(plan)
+        pairs.append((sub, rewired))
         if not plan.empty:
             changed.append(rewired)
 
     merged = merge_into_graph(g, changed)
     save_graph(merged, args.out)
     save_plan_tsv(plans, g.schema, os.path.join(args.out, "rewire_plan.tsv"))
-    report = homophily_report(g, merged, list(model.paths), g.labels)
+    report = homophily_report(g.schema, pairs, g.labels)
     with atomic_write(os.path.join(args.out, "homophily_report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     with atomic_write(os.path.join(args.out, "homophily_report.tsv"), "w", encoding="utf-8") as fh:

@@ -81,20 +81,26 @@ def write_features_bin(x: np.ndarray, filename: str) -> None:
 
 
 def read_features_bin(filename: str) -> np.ndarray:
+    """The matrix of a binary feature file, from one read of it. A cut
+    header, a cut body and bytes past the data are each a DataError."""
     with open(filename, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FEATURE_MAGIC:
-            raise DataError(f"{filename}: bad feature magic {magic!r}")
-        rows, cols = struct.unpack("<II", fh.read(8))
-        raw = fh.read(rows * cols * 4)
-        if len(raw) != rows * cols * 4:
-            raise DataError(f"{filename}: truncated feature data")
-        return np.frombuffer(raw, dtype="<f4").reshape(rows, cols).copy()
+        data = fh.read()
+    if data[:4] != FEATURE_MAGIC:
+        raise DataError(f"{filename}: bad feature magic {data[:4]!r}")
+    if len(data) < 12:
+        raise DataError(f"{filename}: truncated feature header")
+    rows, cols = struct.unpack_from("<II", data, 4)
+    end = 12 + rows * cols * 4
+    if len(data) < end:
+        raise DataError(f"{filename}: truncated feature data")
+    if len(data) > end:
+        raise DataError(f"{filename}: {len(data) - end} trailing bytes after the data")
+    return np.frombuffer(data, dtype="<f4", offset=12).reshape(rows, cols).copy()
 
 
 def read_features_tsv(filename: str, cols: int) -> np.ndarray:
     rows = []
-    with open(filename, encoding="utf-8") as fh:
+    with open(filename, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != cols:
@@ -110,7 +116,7 @@ def _read_edges(filename: str, n_src: int, n_dst: int) -> sp.csr_matrix:
     if not os.path.exists(filename):
         raise DataError(f"missing edge file {filename}")
     src, dst = [], []
-    with open(filename, encoding="utf-8") as fh:
+    with open(filename, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -202,6 +208,33 @@ def _check_fields(manifest_path: str, what: str, doc, types: dict[str, type]) ->
             )
 
 
+def _read_node_table(filename: str, n_tgt: int, what: str, fill: int, dtype, parse) -> np.ndarray:
+    """One value per target node from 'node<TAB>value' lines, ``fill`` for
+    nodes not listed. A line without exactly two fields, a value ``parse``
+    rejects, a node out of range or listed twice is a DataError naming it."""
+    if not os.path.exists(filename):
+        raise DataError(f"missing file {filename}")
+    out = np.full(n_tgt, fill, dtype=dtype)
+    seen = np.zeros(n_tgt, dtype=bool)
+    with open(filename, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                node_text, value_text = line.split("\t")
+                node, value = int(node_text), parse(value_text)
+                if not 0 <= node < n_tgt:
+                    raise DataError(f"{filename}:{lineno}: node {node} out of range")
+                if seen[node]:
+                    raise DataError(f"{filename}:{lineno}: node {node} is listed twice")
+                seen[node] = True
+                out[node] = value  # a label past int64 overflows here
+            except (ValueError, KeyError, OverflowError):
+                raise DataError(f"{filename}:{lineno}: expected 'node<TAB>{what}'") from None
+    return out
+
+
 def load_graph(directory: str) -> HeteroGraph:
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -209,7 +242,7 @@ def load_graph(directory: str) -> HeteroGraph:
     with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise DataError(f"{manifest_path}: {exc}") from None
     if not isinstance(manifest, dict):
         raise DataError(f"{manifest_path}: manifest is not a JSON object")
@@ -263,43 +296,13 @@ def load_graph(directory: str) -> HeteroGraph:
     target = name_to_id[manifest["target_type"]]
     n_tgt = node_types[target].node_count
 
-    labels = np.full(n_tgt, -1, dtype=np.int64)
-    label_path = os.path.join(directory, manifest["label_file"])
-    if not os.path.exists(label_path):
-        raise DataError(f"missing label file {label_path}")
-    with open(label_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            try:
-                node, lab = int(parts[0]), int(parts[1])
-            except (ValueError, IndexError):
-                raise DataError(f"{label_path}:{lineno}: expected 'node<TAB>label'") from None
-            if not 0 <= node < n_tgt:
-                raise DataError(f"{label_path}:{lineno}: node {node} out of range")
-            labels[node] = lab
-
-    splits = np.full(n_tgt, UNASSIGNED, dtype=np.int8)
-    split_path = os.path.join(directory, manifest["split_file"])
-    if not os.path.exists(split_path):
-        raise DataError(f"missing split file {split_path}")
-    with open(split_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[1] not in SPLIT_CODES:
-                raise DataError(f"{split_path}:{lineno}: expected 'node<TAB>train|val|test'")
-            try:
-                node = int(parts[0])
-            except ValueError:
-                raise DataError(f"{split_path}:{lineno}: non-integer node") from None
-            if not 0 <= node < n_tgt:
-                raise DataError(f"{split_path}:{lineno}: node {node} out of range")
-            splits[node] = SPLIT_CODES[parts[1]]
+    labels = _read_node_table(
+        os.path.join(directory, manifest["label_file"]), n_tgt, "label", -1, np.int64, int
+    )
+    splits = _read_node_table(
+        os.path.join(directory, manifest["split_file"]), n_tgt, "train|val|test", UNASSIGNED, np.int8,
+        SPLIT_CODES.__getitem__,
+    )
 
     g = HeteroGraph(
         schema=HeteroSchema(node_types=tuple(node_types), relations=tuple(relations)),

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import UndefinedMeasureError
-from .graph import HeteroGraph
-from .metapath import MetaPath, MetaPathSubgraph, compose_metapath, max_homophily, path_homophily, path_label
+from .graph import HeteroGraph, HeteroSchema
+from .metapath import MetaPathSubgraph, max_homophily, path_homophily, path_label
 from .sparse import row_normalize
 
 
@@ -119,32 +120,19 @@ class HomophilyReport:
         return lines
 
 
-def _after_subgraph(g_before: HeteroGraph, g_after: HeteroGraph, path: MetaPath) -> MetaPathSubgraph:
-    """The rewired relation when the merge installed one, else the path
-    recomposed on the after graph. The merge names relations with the schema
-    it merged into, so the lookup label comes from the before graph."""
-    name = f"rw:{path_label(g_before.schema, path)}"
-    for r in g_after.schema.relations:
-        if r.name == name:
-            return compose_metapath(g_after, MetaPath((r.rel_id,)))
-    return compose_metapath(g_after, path)
-
-
 def homophily_report(
-    g_before: HeteroGraph,
-    g_after: HeteroGraph,
-    paths: list[MetaPath],
+    schema: HeteroSchema,
+    pairs: Sequence[tuple[MetaPathSubgraph, MetaPathSubgraph]],
     labels: np.ndarray,
 ) -> HomophilyReport:
-    """Per-path homophily before and after rewiring. Coverage is the labeled
-    fraction of the after subgraph's edges, the graph consumers train on."""
-    if g_before.target_type != g_after.target_type:
-        raise ValueError("graphs disagree on the target type")
+    """Per-path homophily of each (before, after) subgraph pair, labelled by
+    the before path under ``schema``. Coverage is the labeled fraction of the
+    after subgraph's edges, the graph consumers train on."""
     rows, before, after = [], [], []
-    for path in paths:
-        label = path_label(g_before.schema, path)
-        hb = path_homophily(compose_metapath(g_before, path), labels)
-        ha = path_homophily(_after_subgraph(g_before, g_after, path), labels)
+    for sub_before, sub_after in pairs:
+        label = path_label(schema, sub_before.path)
+        hb = path_homophily(sub_before, labels)
+        ha = path_homophily(sub_after, labels)
         rows.append(PathHomophily(label, hb.ratio, ha.ratio, hb.edges, ha.edges, ha.coverage))
         before.append((hb, label))
         after.append((ha, label))

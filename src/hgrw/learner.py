@@ -243,19 +243,23 @@ def _dense_window(
     targets: SimilarityTargets,
     rows: np.ndarray,
     cols: np.ndarray,
+    full: bool,
     include_attr: bool,
     include_label: bool,
 ) -> tuple[float, float, list[_HopTerms]]:
     """Losses and per-hop backward terms from the explicit rows x cols window;
-    any number of hops (leave-one-out products over the hop cosines)."""
+    any number of hops (leave-one-out products over the hop cosines). A
+    ``full`` window reads the targets' kept full-window blocks."""
     hop_sims = [a @ b.T for a, b in zip(row_units, col_units)]
     s = hop_sims[0]
     for hs in hop_sims[1:]:
         s = s * hs
 
-    r1 = s - targets.attr_block(rows, cols)
-    r2 = s - targets.label_block(rows, cols)
-    mb = targets.mask_block(rows, cols)
+    attr_block, label_block, mb = targets.full_window() if full else (
+        targets.attr_block(rows, cols), targets.label_block(rows, cols), targets.mask_block(rows, cols)
+    )
+    r1 = s - attr_block
+    r2 = s - label_block
     l1 = float((r1 * r1).sum())
     l2 = float((mb * r2 * r2).sum())
 
@@ -366,6 +370,7 @@ def gradients(
 
     row_units = [_pick(rep.units, rows, full_rows) for rep in reps]
     col_units = [_pick(rep.units, cols, full_cols) for rep in reps]
+    full = full_rows and full_cols
     if k_hops == 1:
         l1, l2, terms = _factored_window(
             row_units[0], col_units[0], targets, rows, cols,
@@ -373,7 +378,7 @@ def gradients(
         )
     else:
         l1, l2, terms = _dense_window(
-            row_units, col_units, targets, rows, cols, include_attr, include_label
+            row_units, col_units, targets, rows, cols, full, include_attr, include_label
         )
 
     n_all = int(m.type_offsets[-1])
@@ -395,7 +400,7 @@ def gradients(
         da[na < ZERO_NORM_CUTOFF] = 0.0
         db[nb < ZERO_NORM_CUTOFF] = 0.0
 
-        if full_rows and full_cols:
+        if full:
             d_centered = da + db
         else:
             d_centered = np.zeros((n_target, rep.units.shape[1]))
@@ -507,11 +512,11 @@ def train(
                     )
                 lam = min_norm_point([r.grad for r in results])
                 combined = np.zeros_like(model.params)
-                for lam_i, r in zip(lam.lambdas, results):
+                for lam_i, r in zip(lam, results):
                     combined += lam_i / m_paths * r.grad
                 adam.step(model, combined)
                 history.append(
-                    HistoryRow(epoch, phase_name, tuple(losses), tuple(float(x) for x in lam.lambdas))
+                    HistoryRow(epoch, phase_name, tuple(losses), tuple(float(x) for x in lam))
                 )
     return model, history
 
@@ -635,5 +640,7 @@ def read_checkpoint(filename: str) -> Checkpoint:
         raise DataError(f"{filename}: malformed checkpoint header ({type(exc).__name__}: {exc})") from None
     if end != len(data):
         raise DataError(f"{filename}: {len(data) - end} trailing bytes after the parameters")
+    if not np.isfinite(params).all():
+        raise DataError(f"{filename}: non-finite parameter values")
     return Checkpoint(filename, header, schema_hash, cfg, paths, index, params)
 

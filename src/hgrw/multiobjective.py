@@ -8,34 +8,16 @@ gradient dimension once the inner products are formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-_SIMPLEX_TOL = 1e-9
 _DEGENERATE = 1e-18
-
-
-@dataclass(frozen=True)
-class SimplexWeights:
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=np.float64)
-        object.__setattr__(self, "lambdas", lam)
-        if lam.ndim != 1 or lam.shape[0] < 1:
-            raise ValueError("weights must form a non-empty vector")
-        if np.any(lam < -_SIMPLEX_TOL) or abs(lam.sum() - 1.0) > _SIMPLEX_TOL:
-            raise ValueError(f"weights {lam} are not on the simplex")
-
-    def __len__(self) -> int:
-        return len(self.lambdas)
 
 
 def min_norm_point(
     grads: Sequence[np.ndarray], max_iters: int = 100, tol: float = 1e-6
-) -> SimplexWeights:
+) -> np.ndarray:
     """Weights lambda minimizing ||sum_i lambda_i g_i||^2 over the simplex.
 
     Degenerate conventions: if any gradient is the zero vector, weight is
@@ -52,7 +34,7 @@ def min_norm_point(
         if v.shape[0] != dim:
             raise ValueError(f"gradient {k} has length {v.shape[0]}, expected {dim}")
     if m == 1:
-        return SimplexWeights(np.ones(1))
+        return np.ones(1)
 
     gram = np.empty((m, m))
     stacked = np.stack(flat)
@@ -60,8 +42,7 @@ def min_norm_point(
 
     zero = np.diag(gram) < _DEGENERATE
     if zero.any():
-        lam = np.where(zero, 1.0 / zero.sum(), 0.0)
-        return SimplexWeights(lam)
+        return np.where(zero, 1.0 / zero.sum(), 0.0)
 
     lam = np.full(m, 1.0 / m)
     for _ in range(max_iters):
@@ -83,8 +64,7 @@ def min_norm_point(
         # face; vanilla steps alone stall far from the requested tolerance
         lam = _corrective_step(gram, lam)
     lam = np.maximum(lam, 0.0)
-    lam /= lam.sum()
-    return SimplexWeights(lam)
+    return lam / lam.sum()
 
 
 def _corrective_step(gram: np.ndarray, lam: np.ndarray) -> np.ndarray:

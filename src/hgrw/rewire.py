@@ -45,14 +45,12 @@ class RewireConfig:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Per-node top candidates: parallel index/score arrays per source node."""
+    """Every node's top candidates as parallel flat arrays, ordered by
+    (source, -score, partner)."""
 
-    indices: list[np.ndarray]
-    scores: list[np.ndarray]
-
-    @property
-    def n(self) -> int:
-        return len(self.indices)
+    sources: np.ndarray  # int64
+    partners: np.ndarray  # int64
+    scores: np.ndarray
 
 
 @dataclass
@@ -112,9 +110,7 @@ def score_candidates(
     n = m.graph.target_count
     k = cfg.edge_budget
     if k == 0 or n == 0:
-        empty_i = np.zeros(0, dtype=np.int64)
-        empty_s = np.zeros(0)
-        return CandidateSet(indices=[empty_i] * n, scores=[empty_s] * n)
+        return CandidateSet(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
     if cfg.restrict_two_hop and sub is None:
         raise ValueError("restrict_two_hop needs the meta-path subgraph")
 
@@ -151,10 +147,8 @@ def score_candidates(
         rows, cols, vals = _block_top_k(sim, k, floor)
         parts.append((rows + start, cols, vals))
 
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-    bounds = list(zip([0, *ends[:-1]], ends))
-    return CandidateSet(indices=[cols[a:b] for a, b in bounds], scores=[vals[a:b] for a, b in bounds])
+    # blocks run in row order, so the concatenation keeps the set's order
+    return CandidateSet(*(np.concatenate(p) for p in zip(*parts)))
 
 
 def _pair_scores(m: SimilarityModel, path: MetaPath, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,9 +177,7 @@ def rewire_metapath(
     # a lone directed entry still counts as an existing undirected pair
     existing = np.unique((np.minimum(rows, cols) * n + np.maximum(rows, cols))[rows != cols])
 
-    src = np.repeat(np.arange(candidates.n, dtype=np.int64), [idx.size for idx in candidates.indices])
-    dst = np.concatenate([np.zeros(0, dtype=np.int64), *candidates.indices])
-    scores = np.concatenate([np.zeros(0), *candidates.scores])
+    src, dst, scores = candidates.sources, candidates.partners, candidates.scores
     keys = np.minimum(src, dst) * n + np.maximum(src, dst)
     new = (src != dst) & ~np.isin(keys, existing)
     plan = RewirePlan(

@@ -94,6 +94,14 @@ def centered_unit_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return units, norms
 
 
+def _fold(hops: list[np.ndarray]) -> np.ndarray:
+    """The elementwise product of per-hop blocks, formed in the first one."""
+    first, *rest = hops
+    for h in rest:
+        first *= h
+    return first
+
+
 class SimilarityTargets:
     """Read-only handle over target similarities for one meta-path.
 
@@ -109,32 +117,23 @@ class SimilarityTargets:
         self.mask = df.mask.astype(np.float64)
         self.n = df.attr[0].shape[0]
         self.num_hops = df.num_hops
-        self._full_cache: dict[str, np.ndarray] = {}
-        self._arange = np.arange(self.n)
+        self._full: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def _is_full(self, rows: np.ndarray, cols: np.ndarray) -> bool:
-        return (
-            rows.size == self.n
-            and cols.size == self.n
-            and np.array_equal(rows, self._arange)
-            and np.array_equal(cols, self._arange)
-        )
-
-    def _block(self, kind: str, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        units = self._attr_units if kind == "attr" else self._label_units
-        # the full window recurs every epoch of a small-graph training run;
-        # the cached result is no bigger than the block being returned
-        if self._is_full(rows, cols):
-            if kind not in self._full_cache:
-                out = units[0] @ units[0].T
-                for u in units[1:]:
-                    out *= u @ u.T
-                self._full_cache[kind] = out
-            return self._full_cache[kind]
-        out = units[0][rows] @ units[0][cols].T
-        for u in units[1:]:
-            out *= u[rows] @ u[cols].T
-        return out
+    def full_window(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The attribute, label and mask blocks of the window that pairs every
+        node with every node, built on the first call and then kept: a
+        full-window training run asks for them every epoch. Each hop's
+        ``u @ u.T`` is a symmetric product, which numpy rounds apart from
+        an indexed block's."""
+        if self._full is None:
+            # Both kinds' hop products exist before either is folded, so the
+            # freed ones leave gaps between the kept blocks that the window's
+            # temporaries reuse every epoch. Built back to back, the blocks
+            # sent those temporaries to the top of the heap: a 2-hop demo500
+            # train took ~890k minor page faults instead of ~590k.
+            attr, label = [[u @ u.T for u in units] for units in (self._attr_units, self._label_units)]
+            self._full = (_fold(attr), _fold(label), np.outer(self.mask, self.mask))
+        return self._full
 
     def one_hop_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The attribute units P, label units V and 0/1 mask m of a one-hop
@@ -145,16 +144,12 @@ class SimilarityTargets:
         return self._attr_units[0], self._label_units[0], self.mask
 
     def attr_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return self._block("attr", rows, cols)
+        return _fold([u[rows] @ u[cols].T for u in self._attr_units])
 
     def label_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return self._block("label", rows, cols)
+        return _fold([u[rows] @ u[cols].T for u in self._label_units])
 
     def mask_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        if self._is_full(rows, cols):
-            if "mask" not in self._full_cache:
-                self._full_cache["mask"] = np.outer(self.mask, self.mask)
-            return self._full_cache["mask"]
         return np.outer(self.mask[rows], self.mask[cols])
 
 

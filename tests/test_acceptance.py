@@ -149,7 +149,7 @@ def test_c05_min_norm_solver_matches_oracles():
     for trial in range(50):
         m = 2 + trial % 3
         grads = [rng.uniform(-1.0, 1.0, size=5) for _ in range(m)]
-        lam = min_norm_point(grads).lambdas
+        lam = min_norm_point(grads)
         if m == 2:
             ref = two_objective_closed_form(grads[0], grads[1])
             worst_lambda = max(worst_lambda, float(np.abs(lam - ref).max()))

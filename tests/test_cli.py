@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgrw.cli import main
 from hgrw.dataio import load_graph, save_graph
@@ -166,6 +171,18 @@ def _edit_header(edit):
     return corrupt
 
 
+def _edit_params(edit):
+    """A checkpoint corruption that rewrites the parameter vector with ``edit``."""
+
+    def corrupt(raw: bytes) -> bytes:
+        start = 8 + int.from_bytes(raw[4:8], "little")
+        params = np.frombuffer(raw[start:], dtype="<f8").copy()
+        edit(params)
+        return raw[:start] + params.tobytes()
+
+    return corrupt
+
+
 def _concat_mode_with_text_alpha(header: dict) -> None:
     header["config"]["concat_distribution_features"] = True
     header["meta"]["targets"]["alpha"] = "x"
@@ -183,6 +200,8 @@ BAD_CHECKPOINTS = {
     "bad targets metadata": _edit_header(_concat_mode_with_text_alpha),
     "huge hidden dim": _edit_header(lambda h: h["config"].update(hidden_dim=10**12)),
     "huge hop count": _edit_header(lambda h: h["config"].update(num_hops=10**12)),
+    "all parameters nan": _edit_params(lambda p: p.fill(np.nan)),
+    "one infinite parameter": _edit_params(lambda p: p.__setitem__(0, np.inf)),
 }
 
 
@@ -313,3 +332,69 @@ def test_missing_model_file_for_rewire_reports_cleanly(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("hgrw: data error:") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small dataset with an auxiliary node type and a model trained on it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    ds, model = str(root / "ds"), str(root / "model.msl")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", ds, "--target-nodes", "24", "--feature-dim", "2",
+                     "--aux-size", "6", "--p-aux", "0.5", "--mean-degree", "3", "--seed", "2"]) == 0
+        assert main(["train", ds, "--out", model, "--max-path-len", "2", "--hidden-dim", "3",
+                     "--epochs-attr", "2", "--epochs-label", "1", "--seed", "2"]) == 0
+    return ds, model
+
+
+def mutate(raw: bytes, kind: str, pos: int, payload: bytes) -> bytes:
+    """One edit of a file's bytes; ``pos`` is taken modulo the valid range."""
+    if kind == "append":
+        return raw + payload
+    if kind == "truncate":
+        return raw[: pos % (len(raw) + 1)]
+    if kind == "insert":
+        at = pos % (len(raw) + 1)
+        return raw[:at] + payload + raw[at:]
+    if not raw:
+        return payload
+    if kind == "set":
+        at = pos % len(raw)
+        return raw[:at] + payload[:1] + raw[at + 1 :]
+    lines = raw.splitlines(keepends=True)
+    at = pos % len(lines)
+    kept = lines[:at] + lines[at + 1 :] if kind == "drop line" else lines[: at + 1] + lines[at:]
+    return b"".join(kept)
+
+
+EDIT = st.tuples(
+    st.integers(0, 99),  # the file, modulo the number of files
+    st.sampled_from(["append", "truncate", "insert", "set", "drop line", "repeat line"]),
+    st.one_of(st.integers(0, 12), st.integers(0, 2**16)),  # small offsets reach the headers
+    st.one_of(
+        st.binary(min_size=1, max_size=3),
+        st.lists(st.sampled_from(list(b"0179\t\n-.e")), min_size=1, max_size=3).map(bytes),
+    ),
+)
+
+
+@given(edits=st.lists(EDIT, min_size=1, max_size=3))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_mutated_inputs_exit_with_a_code(fuzz_inputs, edits):
+    # every edge, label, split and feature file and the checkpoint are fair
+    # game; inspect and rewire must answer with an exit code, never a raise
+    with tempfile.TemporaryDirectory() as tmp:
+        ds, model = os.path.join(tmp, "ds"), os.path.join(tmp, "model.msl")
+        shutil.copytree(fuzz_inputs[0], ds)
+        shutil.copyfile(fuzz_inputs[1], model)
+        files = sorted(os.path.join(ds, f) for f in os.listdir(ds) if f != "manifest.json") + [model]
+        for which, kind, pos, payload in edits:
+            path = files[which % len(files)]
+            raw = Path(path).read_bytes()
+            Path(path).write_bytes(mutate(raw, kind, pos, payload))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = {
+                main(["inspect", ds]),
+                main(["rewire", ds, "--model", model, "--out", os.path.join(tmp, "rw")]),
+            }
+    assert codes <= {0, 2, 3}

@@ -52,6 +52,18 @@ def graphs_equal(a, b) -> bool:
     return np.array_equal(a.labels, b.labels) and np.array_equal(a.splits, b.splits)
 
 
+def edited_toy(tmp_path, name, edit):
+    """A saved toy dataset whose file ``name`` holds ``edit(its bytes)``."""
+    d = str(tmp_path / "ds")
+    save_graph(toy_graph(), d)
+    path = os.path.join(d, name)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(edit(raw))
+    return d
+
+
 class TestRoundTrip:
     def test_toy_graph_round_trips(self, tmp_path):
         g = toy_graph()
@@ -123,6 +135,51 @@ class TestLoadErrors:
         with open(os.path.join(d, "splits.tsv"), "a") as fh:
             fh.write("2\tdev\n")
         with pytest.raises(DataError, match="splits"):
+            load_graph(d)
+
+    def test_split_node_listed_twice(self, tmp_path):
+        d = edited_toy(tmp_path, "splits.tsv", lambda raw: raw + b"0\ttest\n")
+        with pytest.raises(DataError, match=r"splits\.tsv:3: node 0 is listed twice"):
+            load_graph(d)
+        assert main(["inspect", d]) == 2
+
+    def test_label_line_with_a_third_field(self, tmp_path):
+        d = edited_toy(tmp_path, "labels.tsv", lambda raw: raw.replace(b"1\t1\n", b"1\t1\tjunk\n"))
+        with pytest.raises(DataError, match=r"labels\.tsv:2: expected 'node<TAB>label'"):
+            load_graph(d)
+        assert main(["inspect", d]) == 2
+
+    def test_label_node_listed_twice(self, tmp_path):
+        d = edited_toy(tmp_path, "labels.tsv", lambda raw: raw + b"1\t0\n")
+        with pytest.raises(DataError, match=r"labels\.tsv:3: node 1 is listed twice"):
+            load_graph(d)
+        assert main(["inspect", d]) == 2
+
+    def test_label_past_int64_is_malformed(self, tmp_path):
+        d = edited_toy(tmp_path, "labels.tsv", lambda raw: raw + b"2\t" + b"9" * 20 + b"\n")
+        with pytest.raises(DataError, match=r"labels\.tsv:3: expected"):
+            load_graph(d)
+
+    def test_feature_header_cut(self, tmp_path):
+        d = edited_toy(tmp_path, "features_paper.bin", lambda raw: raw[:10])
+        with pytest.raises(DataError, match="truncated feature header"):
+            load_graph(d)
+        assert main(["inspect", d]) == 2
+
+    def test_feature_bytes_past_the_data(self, tmp_path):
+        d = edited_toy(tmp_path, "features_paper.bin", lambda raw: raw + bytes(3))
+        with pytest.raises(DataError, match="3 trailing bytes"):
+            load_graph(d)
+        assert main(["inspect", d]) == 2
+
+    def test_invalid_utf8_edge_line(self, tmp_path):
+        d = edited_toy(tmp_path, "edges_pa.tsv", lambda raw: raw + b"2\t\xff\n")
+        with pytest.raises(DataError, match=r"edges_pa\.tsv:4"):
+            load_graph(d)
+
+    def test_invalid_utf8_manifest(self, tmp_path):
+        d = edited_toy(tmp_path, "manifest.json", lambda raw: raw.replace(b'"paper"', b'"pap\xffer"', 1))
+        with pytest.raises(DataError, match="manifest"):
             load_graph(d)
 
     def test_non_finite_feature_rejected(self, tmp_path):

@@ -11,7 +11,6 @@ from hgrw.diagnostics import (
 )
 from hgrw.errors import NumericError, UndefinedMeasureError
 from hgrw.metapath import MetaPath, compose_metapath
-from hgrw.rewire import merge_into_graph
 
 from conftest import make_graph, symmetric_edges
 from oracles import ari, pairs_csr
@@ -112,10 +111,16 @@ def block_graph():
     )
 
 
+def unchanged_pairs(g):
+    """The (before, after) pair of the one-relation path left as it is."""
+    sub = compose_metapath(g, MetaPath((0,)))
+    return [(sub, sub)]
+
+
 class TestHomophilyReport:
     def test_identity_rewiring_reports_equal_columns(self):
         g = block_graph()
-        report = homophily_report(g, g, [MetaPath((0,))], g.labels)
+        report = homophily_report(g.schema, unchanged_pairs(g), g.labels)
         row = report.paths[0]
         assert row.hr_before == row.hr_after
         assert report.mh_before == report.mh_after
@@ -126,8 +131,7 @@ class TestHomophilyReport:
         intra = symmetric_edges([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
         sub = compose_metapath(g, MetaPath((0,)))
         cleaned = sub.__class__(path=sub.path, adjacency=pairs_csr(intra, (6, 6)))
-        merged = merge_into_graph(g, [cleaned])
-        report = homophily_report(g, merged, [MetaPath((0,))], g.labels)
+        report = homophily_report(g.schema, [(sub, cleaned)], g.labels)
         row = report.paths[0]
         assert row.hr_after == 1.0 > row.hr_before
         assert row.edges_after == row.edges_before - 2
@@ -135,7 +139,7 @@ class TestHomophilyReport:
 
     def test_json_and_tsv_shapes(self):
         g = block_graph()
-        report = homophily_report(g, g, [MetaPath((0,))], g.labels)
+        report = homophily_report(g.schema, unchanged_pairs(g), g.labels)
         doc = json.loads(report.to_json())
         assert set(doc) == {"paths", "mh_before", "mh_after"}
         assert set(doc["paths"][0]) == {
@@ -163,7 +167,7 @@ class TestHomophilyReport:
             target_type=g.target_type,
             num_classes=g.num_classes,
         )
-        report = homophily_report(g, g, [MetaPath((0,))], g.labels)
+        report = homophily_report(g.schema, unchanged_pairs(g), g.labels)
         # node 5 is on two of the seven undirected edges
         assert report.paths[0].coverage == pytest.approx(5 / 7)
 

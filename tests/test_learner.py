@@ -347,6 +347,16 @@ class TestFactoredGradients:
         assert (res.l1, res.l2) == pytest.approx((ref.l1, ref.l2), rel=1e-12)
         assert np.allclose(res.grad, ref.grad, rtol=1e-10, atol=1e-12)
 
+    def test_two_hop_full_window_reads_the_targets_full_product(self):
+        g, paths, targets, model = planted_instance(n=14, seed=2, num_hops=2)
+        batch = full_batch(g.target_count)
+        res = gradients(model, paths[0], batch, targets[0])
+        ref = dense_gradients(model, paths[0], batch, targets[0])
+        assert (res.l1, res.l2) == pytest.approx((ref.l1, ref.l2), rel=1e-12)
+        assert np.allclose(res.grad, ref.grad, rtol=1e-10, atol=1e-12)
+        # the full window's blocks are built once and then reused
+        assert targets[0].full_window()[0] is targets[0].full_window()[0]
+
     @pytest.mark.parametrize("num_hops", [1, 2])
     def test_non_finite_parameters_give_non_finite_losses(self, num_hops):
         # the Gram form clamps its losses at 0.0; the clamp must keep NaN

@@ -41,6 +41,12 @@ def small_model(n=6, seed=0):
     return g, path, model
 
 
+def node_candidates(cands, i):
+    """Node i's partners and scores, in rank order."""
+    at = cands.sources == i
+    return cands.partners[at], cands.scores[at]
+
+
 def dense_similarity(model, path, n):
     out = np.empty((n, n))
     for i in range(n):
@@ -53,12 +59,12 @@ class TestScoreCandidates:
     def test_epsilon_above_cosine_bound_gives_nothing(self):
         _, path, model = small_model()
         cands = score_candidates(model, path, RewireConfig(edge_budget=4, epsilon=1.1))
-        assert all(idx.size == 0 for idx in cands.indices)
+        assert cands.sources.size == cands.partners.size == cands.scores.size == 0
 
     def test_zero_budget_gives_nothing(self):
         _, path, model = small_model()
         cands = score_candidates(model, path, RewireConfig(edge_budget=0, epsilon=-2.0))
-        assert all(idx.size == 0 for idx in cands.indices)
+        assert cands.sources.size == cands.partners.size == cands.scores.size == 0
 
     def test_matches_dense_argsort_oracle(self):
         g, path, model = small_model(n=6, seed=3)
@@ -70,7 +76,7 @@ class TestScoreCandidates:
             row[i] = -np.inf
             eligible = [j for j in range(6) if row[j] > cfg.epsilon]
             eligible.sort(key=lambda j: (-row[j], j))
-            assert cands.indices[i].tolist() == eligible[:2]
+            assert node_candidates(cands, i)[0].tolist() == eligible[:2]
 
     def test_budget_respected_and_blocks_consistent(self):
         g, path, model = small_model(n=23, seed=5)
@@ -79,9 +85,10 @@ class TestScoreCandidates:
         a = score_candidates(model, path, cfg_small)
         b = score_candidates(model, path, cfg_big)
         for i in range(23):
-            assert a.indices[i].size <= 3
-            assert np.array_equal(a.indices[i], b.indices[i])
-            assert np.array_equal(a.scores[i], b.scores[i])
+            (a_idx, a_scores), (b_idx, b_scores) = node_candidates(a, i), node_candidates(b, i)
+            assert a_idx.size <= 3
+            assert np.array_equal(a_idx, b_idx)
+            assert np.array_equal(a_scores, b_scores)
 
     def test_two_hop_restriction(self):
         g, path, model = small_model(n=12, seed=7)
@@ -92,7 +99,7 @@ class TestScoreCandidates:
         dense = sub.adjacency.toarray().astype(int)
         reach = ((dense + dense @ dense) > 0)
         for i in range(12):
-            for j in cands.indices[i]:
+            for j in node_candidates(cands, i)[0]:
                 assert reach[i, j]
 
 
@@ -168,10 +175,10 @@ class TestRewireMetapath:
         model = SimilarityModel(g, [path], LearnerConfig(hidden_dim=2, seed=0))
         sub = compose_metapath(g, path)
         assert sub.adjacency.indices.dtype == np.int32
-        wanted = {0: [49_998], 46_341: [49_999], 49_999: [46_340, 46_341]}
         cands = CandidateSet(
-            indices=[np.array(wanted.get(i, []), dtype=np.int64) for i in range(n)],
-            scores=[np.full(len(wanted.get(i, [])), 0.8) for i in range(n)],
+            sources=np.array([0, 46_341, 49_999, 49_999], dtype=np.int64),
+            partners=np.array([49_998, 49_999, 46_340, 46_341], dtype=np.int64),
+            scores=np.full(4, 0.8),
         )
         new = {(46_341, 49_999), (49_999, 46_341)}
         old = {(i, j) for e in edges for i, j in (e, e[::-1])}
@@ -308,8 +315,12 @@ def test_scan_and_apply_match_per_row_and_set_oracles(
     want_idx, want_scores = scan_candidates_per_row(
         model, path, budget, epsilon, cfg.block_size, sub=sub if two_hop else None
     )
-    assert cands.n == n
-    for got, want in zip(cands.indices + cands.scores, want_idx + want_scores):
+    assert np.all((cands.sources >= 0) & (cands.sources < n))
+    want_sources = np.repeat(np.arange(n), [idx.size for idx in want_idx])
+    for got, want in zip(
+        (cands.sources, cands.partners, cands.scores),
+        (want_sources, np.concatenate(want_idx), np.concatenate(want_scores)),
+    ):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 

@@ -160,6 +160,17 @@ class TestSimilarityTargets:
             assert np.allclose(tg.attr_block(idx, idx), sx, atol=1e-12)
             assert np.allclose(tg.label_block(idx, idx), sy, atol=1e-12)
 
+    def test_full_window_matches_the_blocks(self):
+        for num_hops in (1, 2):
+            _, tg = self.build(n=25, num_hops=num_hops, seed=4)
+            idx = np.arange(25)
+            attr, label, mask = tg.full_window()
+            # a symmetric product and an indexed one may round apart
+            assert np.allclose(attr, tg.attr_block(idx, idx), rtol=0, atol=1e-15)
+            assert np.allclose(label, tg.label_block(idx, idx), rtol=0, atol=1e-15)
+            assert np.array_equal(mask, tg.mask_block(idx, idx))
+            assert tg.full_window()[1] is label
+
     def test_lazy_blocks_equal_dense_matrix(self):
         _, tg = self.build(n=30, seed=5)
         idx = np.arange(30)
