@@ -9,7 +9,6 @@ import sys
 import numpy as np
 
 from hgrw import (
-    ComplexityInputs,
     MetaPath,
     SynthConfig,
     complexity_measure,
@@ -24,7 +23,6 @@ def run(argv=None):
     ap.add_argument("--nodes", type=int, default=300)
     ap.add_argument("--seeds", type=int, default=20)
     ap.add_argument("--levels", type=float, nargs="+", default=[0.6, 0.7, 0.8, 0.9, 1.0])
-    ap.add_argument("--squared", action="store_true", help="variance-ratio form")
     args = ap.parse_args(argv)
 
     print(f"{'homophily':>10} {'complexity':>12} {'std':>10}")
@@ -36,7 +34,7 @@ def run(argv=None):
                             self_homophily=(p,), mean_degree=8.0, seed=seed)
             )
             reps = mean_aggregation(compose_metapath(g, MetaPath((0,))), g)
-            vals.append(complexity_measure(ComplexityInputs(reps, g.labels), squared=args.squared))
+            vals.append(complexity_measure(reps, g.labels))
         print(f"{p:>10.2f} {np.mean(vals):>12.4f} {np.std(vals):>10.4f}")
     return 0
 

@@ -5,7 +5,7 @@ from neighborhood attribute/label distributions, rewire meta-path subgraphs
 toward higher homophily, and merge the result back into the graph.
 """
 
-from .diagnostics import ComplexityInputs, complexity_measure, homophily_report, mean_aggregation
+from .diagnostics import complexity_measure, homophily_report, mean_aggregation
 from .errors import (
     DataError,
     HgrwError,
@@ -22,7 +22,6 @@ from .synth import SynthConfig, synth_generate
 from .targets import TargetsConfig, similarity_targets
 
 __all__ = [
-    "ComplexityInputs",
     "DataError",
     "HgrwError",
     "LearnerConfig",

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .diagnostics import ComplexityInputs, complexity_measure, homophily_report, mean_aggregation
+from .diagnostics import complexity_measure, homophily_report, mean_aggregation
 from .dataio import atomic_write, load_graph, save_graph
 from .errors import DataError, NumericError, UndefinedMeasureError, UsageError
 from .graph import HeteroGraph
@@ -29,10 +29,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _config(cls, **fields):
-    """Build a config dataclass; a field its checks reject is a usage error."""
+def _config(cls, args):
+    """Build a config dataclass from the fields that ``args`` holds (a flag
+    left out is absent, so the dataclass default applies); a field its checks
+    reject is a usage error."""
+    given = {}
+    for f in dataclasses.fields(cls):
+        if hasattr(args, f.name):
+            value = getattr(args, f.name)
+            given[f.name] = tuple(value) if isinstance(value, list) else value
     try:
-        return cls(**fields)
+        return cls(**given)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -74,35 +81,10 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        target_nodes=args.target_nodes,
-        num_classes=args.classes,
-        feature_dim=args.feature_dim,
-        self_homophily=tuple(args.p_self) if args.p_self else (0.3, 0.3),
-        aux_sizes=tuple(args.aux_size or ()),
-        aux_homophily=tuple(args.p_aux or ()),
-        mean_degree=args.mean_degree,
-        mean_separation=args.mu,
-        noise_scale=args.sigma,
-        train_ratio=args.train_ratio,
-        val_ratio=args.val_ratio,
-        seed=args.seed,
-    )
-    try:
-        g = synth_generate(cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    g = synth_generate(_config(SynthConfig, args))
     save_graph(g, args.out)
     print(f"wrote {args.out}: {g.target_count} target nodes, {len(g.schema.relations)} relations")
     return 0
-
-
-def _build_targets(g: HeteroGraph, paths: list[MetaPath], tcfg: TargetsConfig):
-    out = []
-    for path in paths:
-        sub = compose_metapath(g, path)
-        out.append(similarity_targets(sub, g, tcfg)[1])
-    return out
 
 
 def _cmd_train(args) -> int:
@@ -110,22 +92,9 @@ def _cmd_train(args) -> int:
     paths = _resolve_paths(g, args.max_path_len, args.path)
     if not paths:
         raise DataError("no meta-path to train on (raise --max-path-len or pass --path)")
-    tcfg = _config(TargetsConfig, num_hops=args.num_hops, alpha=args.alpha)
-    cfg = _config(
-        LearnerConfig,
-        hidden_dim=args.hidden_dim,
-        num_hops=args.num_hops,
-        epochs_attr=args.epochs_attr,
-        epochs_label=args.epochs_label,
-        learning_rate=args.lr,
-        weight_decay=args.weight_decay,
-        batch_rows=args.k1,
-        batch_cols=args.k2,
-        concat_distribution_features=args.concat_dist,
-        keep_attr_in_finetune=not args.label_only_finetune,
-        seed=args.seed,
-    )
-    targets = _build_targets(g, paths, tcfg)
+    tcfg = _config(TargetsConfig, args)
+    cfg = _config(LearnerConfig, args)
+    targets = [similarity_targets(compose_metapath(g, p), g, tcfg)[1] for p in paths]
     model, history = train(g, paths, targets, cfg)
     save_model(model, args.out, extra_meta={"targets": dataclasses.asdict(tcfg)})
     labels = [path_label(g.schema, p) for p in paths]
@@ -139,28 +108,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rewire(args) -> int:
-    cfg = _config(
-        RewireConfig,
-        edge_budget=args.edge_budget,
-        epsilon=args.epsilon,
-        gamma=args.gamma,
-        block_size=args.block_size,
-        restrict_two_hop=args.two_hop_only,
-    )
+    cfg = _config(RewireConfig, args)
     g = load_graph(args.dataset)
-    ckpt = read_checkpoint(args.model)
-    targets = None
-    if ckpt.cfg.concat_distribution_features:
-        ckpt.check_graph(g)  # the targets compose the checkpoint's paths on g
-        try:
-            tmeta = ckpt.header.get("meta", {}).get("targets", {})
-            tcfg = TargetsConfig(
-                num_hops=tmeta.get("num_hops", ckpt.cfg.num_hops), alpha=tmeta.get("alpha", 0.6)
-            )
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise DataError(f"{args.model}: bad targets metadata ({exc})") from None
-        targets = _build_targets(g, ckpt.paths, tcfg)
-    model = ckpt.model(g, targets)
+    model = read_checkpoint(args.model).model(g)
 
     plans, pairs, changed = [], [], []
     for path in model.paths:
@@ -172,10 +122,9 @@ def _cmd_rewire(args) -> int:
         if not plan.empty:
             changed.append(rewired)
 
-    merged = merge_into_graph(g, changed)
-    save_graph(merged, args.out)
+    report = homophily_report(g.schema, pairs, g.labels)  # before any write: it can fail
+    save_graph(merge_into_graph(g, changed), args.out)
     save_plan_tsv(plans, g.schema, os.path.join(args.out, "rewire_plan.tsv"))
-    report = homophily_report(g.schema, pairs, g.labels)
     with atomic_write(os.path.join(args.out, "homophily_report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     with atomic_write(os.path.join(args.out, "homophily_report.tsv"), "w", encoding="utf-8") as fh:
@@ -200,9 +149,7 @@ def _cmd_diag(args) -> int:
         if np.unique(g.labels[labeled]).size >= 2:
             reps = mean_aggregation(sub, g)
             try:
-                complexity = complexity_measure(
-                    ComplexityInputs(reps[labeled], g.labels[labeled])
-                )
+                complexity = complexity_measure(reps[labeled], g.labels[labeled])
             except UndefinedMeasureError:
                 complexity = None
         rows.append(
@@ -227,67 +174,72 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hgrw", description="Homophily-oriented heterogeneous graph rewiring")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, help):
+        # a flag left out stays out of the namespace, so _config falls back
+        # to its dataclass default
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
     def add_path_args(p):
         p.add_argument("--max-path-len", type=int, default=2, help="meta-path length bound")
-        p.add_argument("--path", action="append", metavar="REL[,REL...]",
+        p.add_argument("--path", action="append", default=None, metavar="REL[,REL...]",
                        help="explicit meta-path as comma-separated relation names (repeatable)")
 
-    p = sub.add_parser("inspect", help="per-meta-path homophily table")
+    p = command("inspect", "per-meta-path homophily table")
     p.add_argument("dataset")
     add_path_args(p)
     p.set_defaults(func=_cmd_inspect)
 
-    p = sub.add_parser("synth", help="generate a planted-homophily dataset")
+    p = command("synth", "generate a planted-homophily dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--target-nodes", type=int, default=500)
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--feature-dim", type=int, default=8)
-    p.add_argument("--p-self", type=float, action="append",
-                   help="per self-relation edge homophily (repeatable; default two at 0.3)")
-    p.add_argument("--aux-size", type=int, action="append")
-    p.add_argument("--p-aux", type=float, action="append")
-    p.add_argument("--mean-degree", type=float, default=8.0)
-    p.add_argument("--mu", type=float, default=2.0, help="class mean separation")
-    p.add_argument("--sigma", type=float, default=1.0, help="feature noise scale")
-    p.add_argument("--train-ratio", type=float, default=0.5)
-    p.add_argument("--val-ratio", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--target-nodes", type=int)
+    p.add_argument("--classes", dest="num_classes", type=int)
+    p.add_argument("--feature-dim", type=int)
+    p.add_argument("--p-self", dest="self_homophily", type=float, action="append",
+                   help="per self-relation edge homophily (repeatable)")
+    p.add_argument("--aux-size", dest="aux_sizes", type=int, action="append")
+    p.add_argument("--p-aux", dest="aux_homophily", type=float, action="append")
+    p.add_argument("--mean-degree", type=float)
+    p.add_argument("--mu", dest="mean_separation", type=float, help="class mean separation")
+    p.add_argument("--sigma", dest="noise_scale", type=float, help="feature noise scale")
+    p.add_argument("--train-ratio", type=float)
+    p.add_argument("--val-ratio", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="fit the meta-path similarity learner")
+    p = command("train", "fit the meta-path similarity learner")
     p.add_argument("dataset")
     p.add_argument("--out", required=True, help="checkpoint file")
     add_path_args(p)
-    p.add_argument("--num-hops", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=0.6)
-    p.add_argument("--epochs-attr", type=int, default=200)
-    p.add_argument("--epochs-label", type=int, default=30)
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--k1", type=int, default=1000)
-    p.add_argument("--k2", type=int, default=1000)
-    p.add_argument("--hidden-dim", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--concat-dist", action="store_true",
+    p.add_argument("--num-hops", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--epochs-attr", type=int)
+    p.add_argument("--epochs-label", type=int)
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--weight-decay", type=float)
+    p.add_argument("--k1", dest="batch_rows", type=int)
+    p.add_argument("--k2", dest="batch_cols", type=int)
+    p.add_argument("--hidden-dim", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--concat-dist", dest="concat_distribution_features", action="store_true",
                    help="concatenate distribution features onto the hop encodings")
-    p.add_argument("--label-only-finetune", action="store_true",
+    p.add_argument("--label-only-finetune", dest="keep_attr_in_finetune", action="store_false",
                    help="drop the attribute loss during the fine-tune phase")
-    p.add_argument("--loss-csv", help="loss history path (default: <out>.loss.csv)")
+    p.add_argument("--loss-csv", default=None, help="loss history path (default: <out>.loss.csv)")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("rewire", help="rewire meta-path subgraphs with a trained model")
+    p = command("rewire", "rewire meta-path subgraphs with a trained model")
     p.add_argument("dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--edge-budget", type=int, default=6)
-    p.add_argument("--epsilon", type=float, default=0.6)
-    p.add_argument("--gamma", type=float, default=-1.0)
-    p.add_argument("--block-size", type=int, default=512)
-    p.add_argument("--two-hop-only", action="store_true",
+    p.add_argument("--edge-budget", type=int)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--block-size", type=int)
+    p.add_argument("--two-hop-only", dest="restrict_two_hop", action="store_true",
                    help="restrict candidates to two-hop neighborhoods of the subgraph")
     p.set_defaults(func=_cmd_rewire)
 
-    p = sub.add_parser("diag", help="homophily and complexity report")
+    p = command("diag", "homophily and complexity report")
     p.add_argument("dataset")
     p.add_argument("--report", required=True, help="output JSON path")
     add_path_args(p)

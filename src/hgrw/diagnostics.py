@@ -11,30 +11,18 @@ import numpy as np
 
 from .errors import UndefinedMeasureError
 from .graph import HeteroGraph, HeteroSchema
-from .metapath import MetaPathSubgraph, max_homophily, path_homophily, path_label
+from .metapath import MetaPathSubgraph, max_homophily, measurable_homophily, path_label
 from .sparse import row_normalize
 
 
-@dataclass(frozen=True)
-class ComplexityInputs:
-    representations: np.ndarray
-    classes: np.ndarray
-    p: int = 2
-
-
-def complexity_measure(inputs: ComplexityInputs, squared: bool = False) -> float:
+def complexity_measure(representations: np.ndarray, classes: np.ndarray) -> float:
     """Davies-Bouldin style ratio of intra-class spread to centroid
-    separation, averaged over classes; lower means cleaner class geometry.
-
-    With ``squared`` the per-class terms enter as squares (variance ratio
-    form); the plain form sums the spreads linearly.
-    """
-    reps = np.asarray(inputs.representations, dtype=np.float64)
-    classes = np.asarray(inputs.classes)
+    separation, averaged over classes; lower means cleaner class geometry."""
+    reps = np.asarray(representations, dtype=np.float64)
+    classes = np.asarray(classes)
     ids = np.unique(classes)
     if ids.shape[0] < 2:
         raise UndefinedMeasureError("complexity measure needs at least two classes")
-    p = inputs.p
 
     centroids = []
     spreads = []
@@ -42,8 +30,8 @@ def complexity_measure(inputs: ComplexityInputs, squared: bool = False) -> float
         members = reps[classes == c]
         mu = members.mean(axis=0)
         centroids.append(mu)
-        dists = np.linalg.norm(members - mu, ord=p, axis=1)
-        spreads.append(float(np.mean(dists**p) ** (1.0 / p)))
+        dists = np.linalg.norm(members - mu, axis=1)
+        spreads.append(float(np.mean(dists**2) ** 0.5))
     centroids = np.stack(centroids)
 
     k = ids.shape[0]
@@ -53,16 +41,12 @@ def complexity_measure(inputs: ComplexityInputs, squared: bool = False) -> float
         for j in range(k):
             if i == j:
                 continue
-            sep = float(np.linalg.norm(centroids[i] - centroids[j], ord=p))
+            sep = float(np.linalg.norm(centroids[i] - centroids[j]))
             if sep == 0.0:
                 raise UndefinedMeasureError(
                     f"classes {ids[i]} and {ids[j]} have coincident centroids"
                 )
-            if squared:
-                ratio = (spreads[i] ** 2 + spreads[j] ** 2) / sep**2
-            else:
-                ratio = (spreads[i] + spreads[j]) / sep
-            worst = max(worst, ratio)
+            worst = max(worst, (spreads[i] + spreads[j]) / sep)
         total += worst
     return total / k
 
@@ -75,12 +59,14 @@ def mean_aggregation(sub: MetaPathSubgraph, g: HeteroGraph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathHomophily:
+    """One path's row; a ratio or coverage is None where no edge is countable."""
+
     label: str
-    hr_before: float
-    hr_after: float
+    hr_before: float | None
+    hr_after: float | None
     edges_before: int
     edges_after: int
-    coverage: float
+    coverage: float | None
 
 
 @dataclass(frozen=True)
@@ -110,11 +96,14 @@ class HomophilyReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def tsv_lines(self) -> list[str]:
+        def cell(x: float | None) -> str:
+            return "n/a" if x is None else f"{x:.6f}"
+
         lines = ["metapath\thr_before\thr_after\tedges_before\tedges_after\tcoverage"]
         for row in self.paths:
             lines.append(
-                f"{row.label}\t{row.hr_before:.6f}\t{row.hr_after:.6f}"
-                f"\t{row.edges_before}\t{row.edges_after}\t{row.coverage:.6f}"
+                f"{row.label}\t{cell(row.hr_before)}\t{cell(row.hr_after)}"
+                f"\t{row.edges_before}\t{row.edges_after}\t{cell(row.coverage)}"
             )
         lines.append(f"#mh\t{self.mh_before:.6f}\t{self.mh_after:.6f}")
         return lines
@@ -127,13 +116,18 @@ def homophily_report(
 ) -> HomophilyReport:
     """Per-path homophily of each (before, after) subgraph pair, labelled by
     the before path under ``schema``. Coverage is the labeled fraction of the
-    after subgraph's edges, the graph consumers train on."""
+    after subgraph's edges, the graph consumers train on. A subgraph with no
+    countable edge reports None and is left out of mh, as in measure_paths;
+    UndefinedRatioError only when no path is measurable."""
     rows, before, after = [], [], []
     for sub_before, sub_after in pairs:
         label = path_label(schema, sub_before.path)
-        hb = path_homophily(sub_before, labels)
-        ha = path_homophily(sub_after, labels)
-        rows.append(PathHomophily(label, hb.ratio, ha.ratio, hb.edges, ha.edges, ha.coverage))
+        hb = measurable_homophily(sub_before, labels)
+        ha = measurable_homophily(sub_after, labels)
+        rows.append(PathHomophily(
+            label, hb.ratio if hb else None, ha.ratio if ha else None,
+            sub_before.adjacency.nnz, sub_after.adjacency.nnz, ha.coverage if ha else None,
+        ))
         before.append((hb, label))
         after.append((ha, label))
     return HomophilyReport(

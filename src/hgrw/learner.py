@@ -33,10 +33,11 @@ import scipy.sparse as sp
 from .dataio import atomic_write
 from .errors import DataError, NumericError
 from .graph import HeteroGraph
-from .metapath import MetaPath
+from .metapath import MetaPath, compose_metapath
 from .multiobjective import min_norm_point
 from .sparse import bool_csr, row_normalize
-from .targets import ZERO_NORM_CUTOFF, DistributionFeatures, SimilarityTargets, centered_unit_rows
+from .targets import (ZERO_NORM_CUTOFF, DistributionFeatures, SimilarityTargets, TargetsConfig,
+                      centered_unit_rows, neighborhood_distributions)
 
 CHECKPOINT_MAGIC = b"MSL1"
 
@@ -592,15 +593,15 @@ class Checkpoint:
         if list(self.index) != param_layout(g, self.cfg, len(self.paths)):
             raise bad
 
-    def model(self, g: HeteroGraph, targets: Sequence[SimilarityTargets] | None = None) -> SimilarityModel:
-        """Rebuild the model bound to ``g``. Concat-mode models need per-path
-        targets to restore distribution features."""
+    def model(self, g: HeteroGraph) -> SimilarityModel:
+        """Rebuild the model bound to ``g``. A concat-mode model reads only
+        the propagated attributes of its distribution features, which depend
+        on the hop count alone, so they are rebuilt here from ``g``."""
         self.check_graph(g)
         dist = None
         if self.cfg.concat_distribution_features:
-            if targets is None or len(targets) != len(self.paths):
-                raise DataError("concat-mode checkpoint needs one SimilarityTargets per path")
-            dist = [t.df for t in targets]
+            tcfg = TargetsConfig(num_hops=self.cfg.num_hops)
+            dist = [neighborhood_distributions(compose_metapath(g, p), g, tcfg) for p in self.paths]
         model = SimilarityModel(g, self.paths, self.cfg, dist_features=dist)
         model.set_params(self.params)
         return model

@@ -167,6 +167,14 @@ def path_homophily(sub: MetaPathSubgraph, labels: np.ndarray) -> Homophily:
     return Homophily(same / counted, total, counted / total)
 
 
+def measurable_homophily(sub: MetaPathSubgraph, labels: np.ndarray) -> Homophily | None:
+    """path_homophily, or None for a subgraph without a countable edge."""
+    try:
+        return path_homophily(sub, labels)
+    except UndefinedRatioError:
+        return None
+
+
 def measure_paths(
     g: HeteroGraph, paths: Iterable[MetaPath]
 ) -> Iterator[tuple[MetaPath, MetaPathSubgraph, Homophily | None]]:
@@ -175,11 +183,7 @@ def measure_paths(
     subgraph is held at a time."""
     for path in paths:
         sub = compose_metapath(g, path)
-        try:
-            h = path_homophily(sub, g.labels)
-        except UndefinedRatioError:
-            h = None
-        yield path, sub, h
+        yield path, sub, measurable_homophily(sub, g.labels)
 
 
 def max_homophily(measured: Iterable[tuple[Homophily | None, Any]]) -> tuple[float, Any]:

@@ -10,6 +10,7 @@ auxiliary side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,26 @@ class SynthConfig:
                 raise ValueError(f"homophily level {p} outside [0, 1]")
         if len(self.aux_sizes) != len(self.aux_homophily):
             raise ValueError("aux_sizes and aux_homophily must pair up")
-        if not 0 < self.train_ratio <= 1 or self.val_ratio < 0 or self.train_ratio + self.val_ratio > 1:
+        # written so that a NaN ratio fails the test
+        if not (0 < self.train_ratio <= 1 and self.val_ratio >= 0 and self.train_ratio + self.val_ratio <= 1):
             raise ValueError("train/val ratios must fit in (0, 1]")
         if self.feature_dim < self.num_classes:
             raise ValueError("feature_dim must be >= num_classes (orthogonal class means)")
+        if not math.isfinite(self.mean_separation):
+            raise ValueError("mean_separation must be finite")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError("noise_scale must be finite and >= 0")
+        if any(size < 1 for size in self.aux_sizes):
+            raise ValueError("every aux size must be >= 1")
+        # a relation holds at most every distinct pair; sampling more never ends
+        if not (math.isfinite(self.mean_degree) and self.mean_degree > 0):
+            raise ValueError("mean_degree must be finite and positive")
+        if self.self_homophily and self.mean_degree > self.target_nodes - 1:
+            raise ValueError(f"mean_degree must be <= target_nodes - 1 = {self.target_nodes - 1}")
+        if self.aux_sizes and self.mean_degree > min(self.aux_sizes):
+            raise ValueError(f"mean_degree must be <= the smallest aux size {min(self.aux_sizes)}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _balanced_classes(rng: np.random.Generator, n: int, c: int) -> np.ndarray:

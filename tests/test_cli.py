@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -11,9 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hgrw.cli import main
+from hgrw.cli import _config, build_parser, main
 from hgrw.dataio import load_graph, save_graph
+from hgrw.learner import LearnerConfig
 from hgrw.metapath import compose_metapath, enumerate_metapaths, path_label
+from hgrw.rewire import RewireConfig
+from hgrw.synth import SynthConfig
+from hgrw.targets import TargetsConfig
 from conftest import make_graph, symmetric_edges
 from test_dataio import graphs_equal
 
@@ -88,6 +94,23 @@ class TestExitCodes:
 
 
 BAD_FLAGS = [
+    ("synth", ["--train-ratio", "2"]),
+    ("synth", ["--val-ratio", "nan"]),
+    ("synth", ["--classes", "0"]),
+    ("synth", ["--p-self", "1.5"]),
+    ("synth", ["--aux-size", "10"]),
+    ("synth", ["--feature-dim", "1"]),
+    ("synth", ["--target-nodes", "1"]),
+    ("synth", ["--seed", "-1"]),
+    ("synth", ["--mu", "nan"]),
+    ("synth", ["--sigma", "nan"]),
+    ("synth", ["--sigma", "-1"]),
+    ("synth", ["--mean-degree", "-1"]),
+    ("synth", ["--mean-degree", "0"]),
+    ("synth", ["--mean-degree", "inf"]),
+    ("synth", ["--target-nodes", "10", "--mean-degree", "1e9"]),
+    ("synth", ["--aux-size", "5", "--p-aux", "0.5"]),
+    ("synth", ["--aux-size", "0", "--p-aux", "0.5"]),
     ("train", ["--epochs-attr", "0"]),
     ("train", ["--k1", "0"]),
     ("train", ["--alpha", "2"]),
@@ -105,14 +128,38 @@ BAD_FLAGS = [
 @pytest.mark.parametrize("command,flags", BAD_FLAGS, ids=[" ".join([c, *f]) for c, f in BAD_FLAGS])
 def test_rejected_flag_value_is_usage_error(command, flags, dataset, trained_model, tmp_path, capsys):
     out = str(tmp_path / "out")
-    extra = {
-        "inspect": [],
-        "train": ["--out", out],
-        "rewire": ["--model", trained_model, "--out", out],
-        "diag": ["--report", out],
+    args = {
+        "inspect": [dataset],
+        "synth": ["--out", out],
+        "train": [dataset, "--out", out],
+        "rewire": [dataset, "--model", trained_model, "--out", out],
+        "diag": [dataset, "--report", out],
     }[command]
-    assert main([command, dataset, *extra, *flags]) == 1
+    assert main([command, *args, *flags]) == 1
     assert capsys.readouterr().err.startswith("hgrw: usage error:")
+    assert not os.path.exists(out)
+
+
+# each config dataclass with a command that builds it and that command's
+# required arguments
+COMMAND_CONFIGS = [
+    ("synth", SynthConfig, ["--out", "ds"]),
+    ("train", TargetsConfig, ["ds", "--out", "m.msl"]),
+    ("train", LearnerConfig, ["ds", "--out", "m.msl"]),
+    ("rewire", RewireConfig, ["ds", "--model", "m.msl", "--out", "rw"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,cls,required", COMMAND_CONFIGS, ids=[cls.__name__ for _, cls, _ in COMMAND_CONFIGS]
+)
+def test_each_config_field_is_one_flag(command, cls, required):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = [a.dest for a in subparsers.choices[command]._actions if a.option_strings]
+    for f in dataclasses.fields(cls):
+        assert dests.count(f.name) == 1, f"{command}: {f.name}"
+    # with no optional flag given, the dataclass defaults apply
+    assert _config(cls, build_parser().parse_args([command, *required])) == cls()
 
 
 def _manifest_edit(*keys, value=None):
@@ -183,11 +230,6 @@ def _edit_params(edit):
     return corrupt
 
 
-def _concat_mode_with_text_alpha(header: dict) -> None:
-    header["config"]["concat_distribution_features"] = True
-    header["meta"]["targets"]["alpha"] = "x"
-
-
 BAD_CHECKPOINTS = {
     "unknown config key": _edit_header(lambda h: h["config"].update(bogus=1)),
     "missing paths": _edit_header(lambda h: h.pop("paths")),
@@ -197,7 +239,6 @@ BAD_CHECKPOINTS = {
     "malformed header json": lambda raw: raw[:8] + b"[" + raw[9:],
     "trailing bytes": lambda raw: raw + bytes(16),
     "truncated parameters": lambda raw: raw[:-8],
-    "bad targets metadata": _edit_header(_concat_mode_with_text_alpha),
     "huge hidden dim": _edit_header(lambda h: h["config"].update(hidden_dim=10**12)),
     "huge hop count": _edit_header(lambda h: h["config"].update(num_hops=10**12)),
     "all parameters nan": _edit_params(lambda p: p.fill(np.nan)),
@@ -212,6 +253,38 @@ def test_malformed_checkpoint_is_data_error(case, dataset, trained_model, tmp_pa
         bad.write_bytes(BAD_CHECKPOINTS[case](fh.read()))
     assert main(["rewire", dataset, "--model", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("hgrw: data error:")
+
+
+@pytest.fixture(scope="module")
+def concat_model(dataset, tmp_path_factory):
+    model = str(tmp_path_factory.mktemp("cli") / "concat.msl")
+    assert main(["train", dataset, "--out", model, "--max-path-len", "1", "--hidden-dim", "8",
+                 "--num-hops", "2", "--concat-dist", "--epochs-attr", "3", "--epochs-label", "1",
+                 "--seed", "3"]) == 0
+    return model
+
+
+TARGETS_METADATA = {
+    "removed": lambda meta: meta.pop("targets"),
+    "garbled": lambda meta: meta.update(targets={"alpha": "x", "num_hops": True}),
+    "one hop": lambda meta: meta["targets"].update(num_hops=1),
+}
+
+
+@pytest.mark.parametrize("case", list(TARGETS_METADATA))
+def test_concat_checkpoint_ignores_targets_metadata(case, dataset, concat_model, tmp_path):
+    # a concat-mode model rebuilds its distribution features from its own
+    # hop count, so the targets metadata that train records is never read
+    edited = tmp_path / "edited.msl"
+    edit = _edit_header(lambda header: TARGETS_METADATA[case](header["meta"]))
+    edited.write_bytes(edit(Path(concat_model).read_bytes()))
+    intact, out = tmp_path / "intact", tmp_path / "out"
+    assert main(["rewire", dataset, "--model", concat_model, "--out", str(intact)]) == 0
+    assert main(["rewire", dataset, "--model", str(edited), "--out", str(out)]) == 0
+    names = sorted(os.listdir(intact))
+    assert names == sorted(os.listdir(out))
+    for name in names:
+        assert (intact / name).read_bytes() == (out / name).read_bytes(), name
 
 
 class TestTrain:
@@ -312,6 +385,33 @@ class TestRewire:
     def test_missing_model_is_data_error(self, dataset, tmp_path):
         assert main(["rewire", dataset, "--model", str(tmp_path / "nope.msl"),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def test_rewire_reports_an_unmeasurable_path(tmp_path):
+    ds, model, out = (str(tmp_path / name) for name in ("ds", "m.msl", "rw"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", ds, "--target-nodes", "24", "--aux-size", "10",
+                     "--p-aux", "0.5", "--seed", "2"]) == 0
+        assert main(["train", ds, "--out", model, "--max-path-len", "2",
+                     "--epochs-attr", "3", "--epochs-label", "1"]) == 0
+        Path(ds, "edges_from_aux0.tsv").write_text("")  # the aux round trip composes to nothing
+        assert main(["rewire", ds, "--model", model, "--out", out]) == 0
+    report = json.loads(Path(out, "homophily_report.json").read_text())
+    empty = [row for row in report["paths"] if row["edges_before"] == 0]
+    assert len(empty) == 1 and empty[0]["hr_before"] is None
+    assert report["mh_before"] == max(row["hr_before"] for row in report["paths"] if row not in empty)
+    rows = [line.split("\t") for line in Path(out, "homophily_report.tsv").read_text().splitlines()[1:-1]]
+    assert [row[1] for row in rows if row[3] == "0"] == ["n/a"]
+
+
+def test_rewire_without_a_measurable_path_writes_nothing(dataset, trained_model, tmp_path, capsys):
+    ds, out = str(tmp_path / "ds"), str(tmp_path / "rw")
+    shutil.copytree(dataset, ds)
+    for name in ("labels.tsv", "splits.tsv"):  # no labeled node, so no countable edge
+        Path(ds, name).write_text("")
+    assert main(["rewire", ds, "--model", trained_model, "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("hgrw: numeric failure:")
+    assert not os.path.exists(out)
 
 
 class TestDiag:

@@ -3,12 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hgrw.diagnostics import (
-    ComplexityInputs,
-    complexity_measure,
-    homophily_report,
-    mean_aggregation,
-)
+from hgrw.diagnostics import complexity_measure, homophily_report, mean_aggregation
 from hgrw.errors import NumericError, UndefinedMeasureError
 from hgrw.metapath import MetaPath, compose_metapath
 
@@ -20,33 +15,30 @@ class TestComplexityMeasure:
     def test_point_mass_classes_have_zero_complexity(self):
         reps = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [3.0, 0.0]])
         classes = np.array([0, 0, 1, 1])
-        assert complexity_measure(ComplexityInputs(reps, classes)) == pytest.approx(0.0)
+        assert complexity_measure(reps, classes) == pytest.approx(0.0)
 
     def test_one_dimensional_hand_value(self):
         # classes {-1,+1} around -mu and around +mu: spreads 1, separation 2*mu
         mu = 2.5
         reps = np.array([[-mu - 1], [-mu + 1], [mu - 1], [mu + 1]])
         classes = np.array([0, 0, 1, 1])
-        assert complexity_measure(ComplexityInputs(reps, classes)) == pytest.approx(1.0 / mu)
-        assert complexity_measure(
-            ComplexityInputs(reps, classes), squared=True
-        ) == pytest.approx(2.0 / (2 * mu) ** 2)
+        assert complexity_measure(reps, classes) == pytest.approx(1.0 / mu)
 
     def test_identical_classes_raise(self):
         reps = np.array([[1.0, 2.0], [3.0, 0.0], [1.0, 2.0], [3.0, 0.0]])
         classes = np.array([0, 0, 1, 1])
         with pytest.raises(UndefinedMeasureError):
-            complexity_measure(ComplexityInputs(reps, classes))
+            complexity_measure(reps, classes)
 
     def test_single_class_raises(self):
         with pytest.raises(UndefinedMeasureError):
-            complexity_measure(ComplexityInputs(np.ones((3, 2)), np.zeros(3)))
+            complexity_measure(np.ones((3, 2)), np.zeros(3))
 
     def test_rotation_and_translation_invariance(self):
         rng = np.random.default_rng(0)
         reps = rng.standard_normal((40, 3))
         classes = rng.integers(0, 3, size=40)
-        base = complexity_measure(ComplexityInputs(reps, classes))
+        base = complexity_measure(reps, classes)
         theta = 0.7
         rot = np.array(
             [
@@ -56,16 +48,15 @@ class TestComplexityMeasure:
             ]
         )
         moved = reps @ rot.T + np.array([5.0, -2.0, 1.0])
-        assert complexity_measure(ComplexityInputs(moved, classes)) == pytest.approx(base)
+        assert complexity_measure(moved, classes) == pytest.approx(base)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         reps = rng.standard_normal((30, 4))
         classes = rng.integers(0, 2, size=30)
-        for squared in (False, True):
-            base = complexity_measure(ComplexityInputs(reps, classes), squared=squared)
-            scaled = complexity_measure(ComplexityInputs(3.7 * reps, classes), squared=squared)
-            assert scaled == pytest.approx(base, abs=1e-9)
+        base = complexity_measure(reps, classes)
+        scaled = complexity_measure(3.7 * reps, classes)
+        assert scaled == pytest.approx(base, abs=1e-9)
 
     def test_more_separation_means_lower_complexity(self):
         rng = np.random.default_rng(2)
@@ -73,8 +64,8 @@ class TestComplexityMeasure:
         classes = np.repeat([0, 1], 30)
         tight = noise + 10.0 * np.eye(2)[classes]
         loose = noise + 1.5 * np.eye(2)[classes]
-        tight_c = complexity_measure(ComplexityInputs(tight, classes))
-        loose_c = complexity_measure(ComplexityInputs(loose, classes))
+        tight_c = complexity_measure(tight, classes)
+        loose_c = complexity_measure(loose, classes)
         assert tight_c < loose_c
 
 

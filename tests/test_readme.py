@@ -1,10 +1,15 @@
-"""The README's Library example runs as written, on exported names only."""
+"""The README's examples run as written: the Library example on exported
+names only, and every line of the Command line block."""
 
 import ast
+import contextlib
+import io
 import re
+import shlex
 from pathlib import Path
 
 import hgrw
+from hgrw.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +29,14 @@ def test_library_example_runs_on_exported_names():
     exec(compile(code, str(README), "exec"), namespace)
     assert len(namespace["history"]) == 230
     assert namespace["report"].mh_after >= namespace["report"].mh_before
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert commands and all(argv[0] == "hgrw" for argv in commands)
+    monkeypatch.chdir(tmp_path)  # the block writes relative paths
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv[1:]) == 0, shlex.join(argv)
