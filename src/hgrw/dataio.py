@@ -34,6 +34,9 @@ from .sparse import bool_csr
 
 FORMAT_VERSION = 1
 FEATURE_MAGIC = b"HGF1"
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+# Edges encoded per write: bounds the encoder's temporaries to about 2 MB.
+_EDGES_PER_CHUNK = 1 << 14
 
 # The type of every manifest field, at the top level and in each node type
 # and relation row.
@@ -112,9 +115,46 @@ def read_features_tsv(filename: str, cols: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.float32)
 
 
+def _parse_canonical_edges(raw: bytes, n_src: int, n_dst: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The int64 (src, dst) endpoints of an edge file in the form
+    ``_write_edges`` writes: 'digits<TAB>digits<LF>' lines, each field 1 to
+    18 digits (so it fits int64) and in range. None for any other input,
+    which the line reader then parses or reports."""
+    b = np.frombuffer(raw, dtype=np.uint8)
+    if b.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if b[-1] != ord("\n") or (b > ord("9")).any():
+        return None
+    ends = np.flatnonzero(b < ord("0"))  # the byte after each field
+    # tabs and line feeds alternate; the final line feed makes their count even
+    if (b[ends[0::2]] != ord("\t")).any() or (b[ends[1::2]] != ord("\n")).any():
+        return None
+    widths = np.diff(ends, prepend=-1) - 1
+    if widths.min() < 1 or widths.max() > 18:
+        return None
+    values = np.zeros(ends.size, dtype=np.int64)
+    for k in range(int(widths.max())):  # the digit k places left of each field's end
+        digit = b[ends - 1 - k].astype(np.int64) - ord("0")
+        values += np.where(widths > k, digit, 0) * 10**k
+    src, dst = values[0::2], values[1::2]
+    if src.max() >= n_src or dst.max() >= n_dst:
+        return None
+    return src, dst
+
+
 def _read_edges(filename: str, n_src: int, n_dst: int) -> sp.csr_matrix:
-    if not os.path.exists(filename):
+    if not os.path.isfile(filename):
         raise DataError(f"missing edge file {filename}")
+    with open(filename, "rb") as fh:
+        parsed = _parse_canonical_edges(fh.read(), n_src, n_dst)
+    src, dst = parsed if parsed is not None else _read_edge_lines(filename, n_src, n_dst)
+    return bool_csr(src, dst, (n_src, n_dst))
+
+
+def _read_edge_lines(filename: str, n_src: int, n_dst: int) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints of an edge file of 'src<TAB>dst' lines, each field any
+    text ``int`` accepts; blank lines are skipped. A malformed line or an
+    endpoint out of range is a DataError naming its line."""
     src, dst = [], []
     with open(filename, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -134,14 +174,30 @@ def _read_edges(filename: str, n_src: int, n_dst: int) -> sp.csr_matrix:
                 raise DataError(f"{filename}:{lineno}: dst index {j} out of range [0, {n_dst})")
             src.append(i)
             dst.append(j)
-    return bool_csr(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), (n_src, n_dst))
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+
+
+def _encode_edges(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The bytes of one 'src<TAB>dst<LF>' line per edge (at least one),
+    decimal endpoints."""
+    fields = np.stack([src, dst], axis=1).ravel().astype(np.int64)
+    widths = 1 + np.searchsorted(_POWERS_OF_TEN, fields, side="right")
+    ends = np.cumsum(widths + 1) - 1  # the separator after each field
+    out = np.empty(ends[-1] + 1, dtype=np.uint8)
+    out[ends[0::2]] = ord("\t")
+    out[ends[1::2]] = ord("\n")
+    for k in range(int(widths.max())):  # the digit k places left of each separator
+        live = widths > k
+        out[ends[live] - 1 - k] = fields[live] // 10**k % 10 + ord("0")
+    return out
 
 
 def _write_edges(adj: sp.csr_matrix, filename: str) -> None:
     coo = adj.tocoo()
-    with open(filename, "w", encoding="utf-8") as fh:
-        for i, j in zip(coo.row, coo.col):
-            fh.write(f"{i}\t{j}\n")
+    with open(filename, "wb") as fh:
+        for start in range(0, coo.nnz, _EDGES_PER_CHUNK):
+            stop = start + _EDGES_PER_CHUNK
+            fh.write(_encode_edges(coo.row[start:stop], coo.col[start:stop]))
 
 
 def save_graph(g: HeteroGraph, directory: str) -> None:
@@ -212,7 +268,7 @@ def _read_node_table(filename: str, n_tgt: int, what: str, fill: int, dtype, par
     """One value per target node from 'node<TAB>value' lines, ``fill`` for
     nodes not listed. A line without exactly two fields, a value ``parse``
     rejects, a node out of range or listed twice is a DataError naming it."""
-    if not os.path.exists(filename):
+    if not os.path.isfile(filename):
         raise DataError(f"missing file {filename}")
     out = np.full(n_tgt, fill, dtype=dtype)
     seen = np.zeros(n_tgt, dtype=bool)
@@ -237,7 +293,7 @@ def _read_node_table(filename: str, n_tgt: int, what: str, fill: int, dtype, par
 
 def load_graph(directory: str) -> HeteroGraph:
     manifest_path = os.path.join(directory, "manifest.json")
-    if not os.path.exists(manifest_path):
+    if not os.path.isfile(manifest_path):
         raise DataError(f"missing manifest {manifest_path}")
     with open(manifest_path, encoding="utf-8") as fh:
         try:
@@ -262,7 +318,7 @@ def load_graph(directory: str) -> HeteroGraph:
         )
         name_to_id[row["name"]] = i
         fpath = os.path.join(directory, row["feature_file"])
-        if not os.path.exists(fpath):
+        if not os.path.isfile(fpath):
             raise DataError(f"missing feature file {fpath}")
         x = (
             read_features_tsv(fpath, row["feature_dim"])

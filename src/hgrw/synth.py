@@ -68,6 +68,23 @@ class SynthConfig:
             raise ValueError(f"mean_degree must be <= the smallest aux size {min(self.aux_sizes)}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.num_classes == 1 and any(p < 1.0 for p in self.self_homophily + self.aux_homophily):
+            raise ValueError("a homophily level below 1 needs cross-class edges, so at least 2 classes")
+        if self.self_homophily and self.self_edges == 0:
+            raise ValueError("target_nodes * mean_degree / 2 rounds to 0 edges per self relation")
+        if self.aux_sizes and self.aux_edges == 0:
+            raise ValueError("target_nodes * mean_degree rounds to 0 edges per aux relation")
+
+    @property
+    def self_edges(self) -> int:
+        """The edges of each self relation: mean_degree per target node, each
+        edge counted at both of its ends."""
+        return int(round(self.target_nodes * self.mean_degree / 2.0))
+
+    @property
+    def aux_edges(self) -> int:
+        """The edges of each target-to-aux relation: mean_degree per target node."""
+        return int(round(self.target_nodes * self.mean_degree))
 
 
 def _balanced_classes(rng: np.random.Generator, n: int, c: int) -> np.ndarray:
@@ -96,13 +113,9 @@ def _sample_pairs(
 ) -> set[tuple[int, int]]:
     c = int(max(classes_a.max(), classes_b.max())) + 1
     by_class_b = [np.flatnonzero(classes_b == k) for k in range(c)]
-    if homophily < 1.0 and c < 2:
-        raise DataError(
-            f"relation {relation_name!r}: cross-class edges impossible with one class"
-        )
     pairs: set[tuple[int, int]] = set()
     attempts = 0
-    budget = _MAX_ATTEMPT_FACTOR * max(n_edges, 1)
+    budget = _MAX_ATTEMPT_FACTOR * n_edges
     n_a = classes_a.shape[0]
     while len(pairs) < n_edges:
         attempts += 1
@@ -152,8 +165,7 @@ def synth_generate(cfg: SynthConfig) -> HeteroGraph:
 
     for ridx, p in enumerate(cfg.self_homophily):
         name = f"r{ridx}"
-        n_edges = int(round(n * cfg.mean_degree / 2.0))
-        pairs = _sample_pairs(rng, labels, labels, p, n_edges, bipartite=False, relation_name=name)
+        pairs = _sample_pairs(rng, labels, labels, p, cfg.self_edges, bipartite=False, relation_name=name)
         relations.append(Relation(len(relations), name, 0, 0))
         arr = _pair_array(pairs)  # both directions of every pair
         adjacency.append(bool_csr(arr.ravel(), arr[:, ::-1].ravel(), (n, n)))
@@ -164,9 +176,8 @@ def synth_generate(cfg: SynthConfig) -> HeteroGraph:
         aux_classes = _balanced_classes(rng, size, cfg.num_classes)
         node_types.append(NodeType(tid, tname, size, cfg.feature_dim))
         features.append(_class_features(rng, aux_classes, cfg))
-        n_edges = int(round(n * cfg.mean_degree))
         pairs = _sample_pairs(
-            rng, labels, aux_classes, p, n_edges, bipartite=True, relation_name=f"to_{tname}"
+            rng, labels, aux_classes, p, cfg.aux_edges, bipartite=True, relation_name=f"to_{tname}"
         )
         arr = _pair_array(pairs)
         relations.append(Relation(len(relations), f"to_{tname}", 0, tid))

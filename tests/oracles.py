@@ -422,3 +422,11 @@ def ari(before: np.ndarray, after: np.ndarray) -> float:
     if np.any(before <= 0):
         raise NumericError("relative improvement undefined for a zero baseline")
     return float(np.mean((after - before) / before)) * 100.0
+
+
+def write_edges_per_line(adj: sp.csr_matrix, filename: str) -> None:
+    """An edge file written one formatted 'src<TAB>dst' line per stored entry."""
+    coo = adj.tocoo()
+    with open(filename, "w", encoding="utf-8") as fh:
+        for i, j in zip(coo.row, coo.col):
+            fh.write(f"{i}\t{j}\n")

@@ -97,6 +97,7 @@ BAD_FLAGS = [
     ("synth", ["--train-ratio", "2"]),
     ("synth", ["--val-ratio", "nan"]),
     ("synth", ["--classes", "0"]),
+    ("synth", ["--classes", "1"]),
     ("synth", ["--p-self", "1.5"]),
     ("synth", ["--aux-size", "10"]),
     ("synth", ["--feature-dim", "1"]),
@@ -108,6 +109,7 @@ BAD_FLAGS = [
     ("synth", ["--mean-degree", "-1"]),
     ("synth", ["--mean-degree", "0"]),
     ("synth", ["--mean-degree", "inf"]),
+    ("synth", ["--mean-degree", "0.001"]),
     ("synth", ["--target-nodes", "10", "--mean-degree", "1e9"]),
     ("synth", ["--aux-size", "5", "--p-aux", "0.5"]),
     ("synth", ["--aux-size", "0", "--p-aux", "0.5"]),
@@ -478,16 +480,60 @@ EDIT = st.tuples(
 )
 
 
-@given(edits=st.lists(EDIT, min_size=1, max_size=3))
+DROP = object()  # a manifest edit that removes the field
+
+
+def edit_manifest(path: str, slot: int, value) -> None:
+    """Store ``value`` at one place of the manifest at ``path`` (the whole
+    document, any field or any list entry, ``slot`` taken modulo their
+    number), or remove the field or entry there when ``value`` is DROP."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+
+    def places(node, keys):
+        yield keys
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, child in items:
+            yield from places(child, (*keys, key))
+
+    spots = list(places(doc, ()))
+    keys = spots[slot % len(spots)]
+    if not keys:
+        doc = None if value is DROP else value
+    else:
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+MANIFEST_EDIT = st.tuples(
+    st.integers(0, 999),  # the place, modulo the number of places
+    # wrong types, empty and directory-like file names, another file's name,
+    # names of real types and relations, and sizes no file could back
+    st.sampled_from([DROP, None, True, 1.5, -1, 0, 1, 2, 24, 10**12, "", ".", "..", "labels.tsv",
+                     "features_node.bin", "node", "aux0", "to_aux0", [], {}, [{}]]),
+)
+
+
+@given(edits=st.lists(EDIT, min_size=1, max_size=3), manifest_edits=st.lists(MANIFEST_EDIT, max_size=2))
 @settings(max_examples=400, deadline=None, derandomize=True)
-def test_mutated_inputs_exit_with_a_code(fuzz_inputs, edits):
-    # every edge, label, split and feature file and the checkpoint are fair
-    # game; inspect and rewire must answer with an exit code, never a raise
+def test_mutated_inputs_exit_with_a_code(fuzz_inputs, edits, manifest_edits):
+    # every file of the dataset and the checkpoint are fair game, and the
+    # manifest also takes edits of its parsed fields; inspect and rewire
+    # must answer with an exit code, never a raise
     with tempfile.TemporaryDirectory() as tmp:
         ds, model = os.path.join(tmp, "ds"), os.path.join(tmp, "model.msl")
         shutil.copytree(fuzz_inputs[0], ds)
         shutil.copyfile(fuzz_inputs[1], model)
-        files = sorted(os.path.join(ds, f) for f in os.listdir(ds) if f != "manifest.json") + [model]
+        for slot, value in manifest_edits:
+            edit_manifest(os.path.join(ds, "manifest.json"), slot, value)
+        files = sorted(os.path.join(ds, f) for f in os.listdir(ds)) + [model]
         for which, kind, pos, payload in edits:
             path = files[which % len(files)]
             raw = Path(path).read_bytes()

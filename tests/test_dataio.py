@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgrw import dataio
 from hgrw.cli import main
@@ -11,9 +13,11 @@ from hgrw.dataio import atomic_write, load_graph, read_features_bin, save_graph,
 from hgrw.errors import DataError
 from hgrw.graph import TRAIN
 from hgrw.metapath import MetaPath, compose_metapath, path_homophily
+from hgrw.sparse import bool_csr
 from hgrw.synth import SynthConfig, synth_generate
 
 from conftest import make_graph, same_structure
+from oracles import write_edges_per_line
 
 
 def toy_graph():
@@ -222,6 +226,90 @@ class TestLoadErrors:
         assert main(["inspect", d]) == 2
 
 
+def read_with_line_reader(filename, n_src, n_dst):
+    return bool_csr(*dataio._read_edge_lines(filename, n_src, n_dst), (n_src, n_dst))
+
+
+def load_outcome(read, filename, n_src, n_dst):
+    """What ``read`` makes of an edge file: its matrix's arrays and dtypes,
+    or the DataError text."""
+    try:
+        adj = read(filename, n_src, n_dst)
+    except DataError as exc:
+        return str(exc)
+    return adj.indptr.tolist(), adj.indices.tolist(), adj.indptr.dtype, adj.indices.dtype, adj.data.dtype
+
+
+# Endpoints of 1 to 21 digits: at and past the row count 13, the canonical
+# 18-digit limit and the int64 range.
+ENDPOINT = st.one_of(st.integers(0, 14), st.integers(0, 10**20),
+                     st.sampled_from([10**18 - 1, 10**18, 2**63 - 1, 2**63, 10**19 - 1]))
+EDGE_LIST = st.lists(st.tuples(ENDPOINT, ENDPOINT), max_size=12)
+# Edits towards what int() or the line reader also accepts or rejects: signs,
+# blanks, underscores, CR, empty lines and fields (setting a byte to nothing
+# deletes it), leading zeros, a non-ASCII digit, bad UTF-8.
+EDGE_FILE_EDIT = st.tuples(
+    st.integers(0, 2**16),
+    st.sampled_from(["insert", "set", "truncate"]),
+    st.sampled_from([b"", b"0", b"9", b"\t", b"\n", b"\r", b" ", b"+", b"-", b"_", b"\n\n", b"\t\n",
+                     b"x", b"0" * 18, "\u0661".encode(), b"\xff", b"\t1"]),
+)
+
+
+class TestEdgeFiles:
+    @given(edges=EDGE_LIST, edits=st.lists(EDGE_FILE_EDIT, max_size=3),
+           n_src=st.sampled_from([13, 10**18]), n_dst=st.sampled_from([13, 10**18]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_fast_reader_agrees_with_line_reader(self, tmp_path_factory, edges, edits, n_src, n_dst):
+        raw = b"".join(b"%d\t%d\n" % edge for edge in edges)
+        for pos, kind, payload in edits:
+            at = pos % (len(raw) + 1)
+            if kind == "insert":
+                raw = raw[:at] + payload + raw[at:]
+            elif kind == "set":
+                raw = raw[:at] + payload + raw[at + 1 :]
+            else:
+                raw = raw[:at]
+        filename = str(tmp_path_factory.mktemp("edges") / "edges.tsv")
+        with open(filename, "wb") as fh:
+            fh.write(raw)
+        fast = dataio._parse_canonical_edges(raw, n_src, n_dst)
+        if fast is not None:  # what the fast path accepts, the line reader reads the same
+            lines = dataio._read_edge_lines(filename, n_src, n_dst)
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(fast, lines))
+        elif not edits and all(i < n_src and j < n_dst for i, j in edges):
+            pytest.fail("a canonical file missed the fast path")
+        if n_src == 13:  # a row count the matrix can be built at
+            assert load_outcome(dataio._read_edges, filename, n_src, n_dst) == load_outcome(
+                read_with_line_reader, filename, n_src, n_dst)
+
+    @given(edges=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 10**18 - 1)), max_size=12),
+           chunk=st.sampled_from([1, 2, 5, dataio._EDGES_PER_CHUNK]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_encoder_writes_the_per_line_bytes(self, tmp_path_factory, edges, chunk):
+        arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        adj = bool_csr(arr[:, 0], arr[:, 1], (13, 10**18))
+        d = tmp_path_factory.mktemp("enc")
+        with mock.patch.object(dataio, "_EDGES_PER_CHUNK", chunk):
+            dataio._write_edges(adj, str(d / "fast.tsv"))
+        write_edges_per_line(adj, str(d / "lines.tsv"))
+        assert (d / "fast.tsv").read_bytes() == (d / "lines.tsv").read_bytes()
+        if edges:  # wide sources too, which no matrix of this shape holds
+            wide = arr[:, ::-1]
+            expected = b"".join(b"%d\t%d\n" % (i, j) for i, j in wide.tolist())
+            assert dataio._encode_edges(wide[:, 0], wide[:, 1]).tobytes() == expected
+
+    def test_saved_synth_dataset_loads_on_the_fast_path(self, tmp_path, monkeypatch):
+        g = synth_generate(SynthConfig(target_nodes=300, aux_sizes=(40,), aux_homophily=(0.5,), seed=8))
+        save_graph(g, str(tmp_path / "ds"))
+
+        def line_reader(*args):
+            raise AssertionError("a saved edge file went through the line reader")
+
+        monkeypatch.setattr(dataio, "_read_edge_lines", line_reader)
+        assert graphs_equal(g, load_graph(str(tmp_path / "ds")))
+
+
 class TestAtomicWrite:
     def test_replaces_target_and_leaves_no_temporary(self, tmp_path):
         target = tmp_path / "out.txt"
@@ -260,8 +348,25 @@ class TestSynth:
         assert abs(path_homophily(sub, g.labels).ratio - 0.3) < 0.05
 
     def test_single_class_with_cross_edges_is_infeasible(self):
-        with pytest.raises(DataError):
-            synth_generate(SynthConfig(target_nodes=50, num_classes=1, self_homophily=(0.5,), seed=0))
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            SynthConfig(target_nodes=50, num_classes=1, self_homophily=(0.5,), seed=0)
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            SynthConfig(num_classes=1, self_homophily=(1.0,), aux_sizes=(10,), aux_homophily=(0.5,))
+        g = synth_generate(SynthConfig(target_nodes=50, num_classes=1, self_homophily=(1.0,), seed=0))
+        assert g.adjacency[0].nnz == 2 * SynthConfig(target_nodes=50).self_edges
+
+    @pytest.mark.parametrize("fields", [
+        dict(target_nodes=500, mean_degree=0.001),  # 0.25 edges per self relation
+        dict(target_nodes=10, mean_degree=0.04, self_homophily=(), aux_sizes=(5,), aux_homophily=(0.5,)),
+    ])
+    def test_relation_without_edges_is_rejected(self, fields):
+        with pytest.raises(ValueError, match="rounds to 0 edges"):
+            SynthConfig(**fields)
+
+    def test_a_tiny_mean_degree_still_draws_edges(self):
+        g = synth_generate(SynthConfig(target_nodes=500, mean_degree=0.004, aux_sizes=(3,),
+                                       aux_homophily=(0.5,), seed=1))
+        assert [adj.nnz for adj in g.adjacency] == [2, 2, 2, 2]
 
     def test_stratified_split_ratios(self):
         g = synth_generate(SynthConfig(target_nodes=400, num_classes=4, train_ratio=0.5, seed=1))

@@ -1,13 +1,20 @@
+import contextlib
 import dataclasses
+import io
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hgrw
+from hgrw.cli import main
+from hgrw.dataio import load_graph
 from hgrw.errors import DataError
-from hgrw.learner import LearnerConfig, SimilarityModel
-from hgrw.metapath import MetaPath, MetaPathSubgraph, compose_metapath, path_homophily
+from hgrw.learner import LearnerConfig, SimilarityModel, read_checkpoint
+from hgrw.metapath import MetaPath, MetaPathSubgraph, compose_metapath, path_homophily, path_label
 from hgrw.rewire import (
     CandidateSet,
     RewireConfig,
@@ -330,3 +337,50 @@ def test_scan_and_apply_match_per_row_and_set_oracles(
     assert plan.removals == want_del
     assert same_structure(rewired.adjacency, rewired.adjacency.T.tocsr())
     assert same_structure(rewired.adjacency, want_adj)
+
+
+def read_plan(filename: str) -> dict[tuple[str, str, int, int], float]:
+    with open(filename, encoding="utf-8") as fh:
+        rows = [line.split("\t") for line in fh.read().splitlines()[1:]]
+    return {(label, op, int(i), int(j)): float(s) for label, op, i, j, s in rows}
+
+
+def test_plan_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a product differently over 1 and 2 threads, so a score
+    # may move by an ulp; only a pair that ties its node's k-th score or
+    # epsilon that closely may then enter or leave the plan.
+    ds, model = str(tmp_path / "ds"), str(tmp_path / "m.msl")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", ds, "--target-nodes", "500", "--seed", "4"]) == 0
+        assert main(["train", ds, "--out", model, "--epochs-attr", "20", "--epochs-label", "5",
+                     "--seed", "4"]) == 0
+    src = os.path.dirname(os.path.dirname(hgrw.__file__))
+    plans = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"rw{threads}")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "hgrw.cli", "rewire", ds, "--model", model, "--out", out],
+                       env=env, check=True, capture_output=True, timeout=300)
+        plans.append(read_plan(os.path.join(out, "rewire_plan.tsv")))
+
+    g = load_graph(ds)
+    m = read_checkpoint(model).model(g)
+    cfg = RewireConfig()
+    kth = {}  # each node's k-th best score on each path, where it has k candidates
+    for path in m.paths:
+        cands = score_candidates(m, path, cfg)
+        label = path_label(g.schema, path)
+        counts = np.bincount(cands.sources, minlength=g.target_count)
+        last = np.cumsum(counts) - 1
+        for i in np.flatnonzero(counts == cfg.edge_budget):
+            kth[label, int(i)] = float(cands.scores[last[i]])
+
+    one, two = plans
+    for key in one.keys() & two.keys():
+        assert abs(one[key] - two[key]) <= 1e-15, key
+    for key in one.keys() ^ two.keys():
+        label, _, i, _ = key
+        score = one.get(key, two.get(key))
+        assert abs(score - cfg.epsilon) <= 1e-12 or abs(score - kth.get((label, i), np.inf)) <= 1e-12, key
+    assert len(one.keys() & two.keys()) > 1000
