@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 from .errors import DataError, UndefinedRatioError
 from .graph import HeteroGraph, HeteroSchema
+from .sparse import bool_spgemm, dense_bool_csr
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,8 @@ def path_label(schema: HeteroSchema, path: MetaPath) -> str:
 def compose_metapath(g: HeteroGraph, path: MetaPath) -> MetaPathSubgraph:
     """Compose the path's relation matrices into a boolean subgraph over the
     target type: the union of the product with its transpose, diagonal
-    removed, canonicalised once at the end."""
+    removed, canonicalised once at the end. Each product takes the route
+    that ``bool_spgemm`` picks; a dense result is symmetrised in dense form."""
     seq = path_type_sequence(g.schema, path)
     if seq[0] != g.target_type or seq[-1] != g.target_type:
         raise DataError(
@@ -75,7 +77,11 @@ def compose_metapath(g: HeteroGraph, path: MetaPath) -> MetaPathSubgraph:
         )
     acc = g.adjacency[path.relation_ids[0]]
     for rid in path.relation_ids[1:]:
-        acc = acc @ g.adjacency[rid]
+        acc = bool_spgemm(acc, g.adjacency[rid])
+    if isinstance(acc, np.ndarray):
+        acc |= acc.T
+        np.fill_diagonal(acc, False)
+        return MetaPathSubgraph(path=path, adjacency=dense_bool_csr(acc))
     adj = (acc + acc.T).tocsr()
     adj.setdiag(False)
     adj.eliminate_zeros()
@@ -154,16 +160,17 @@ def path_homophily(sub: MetaPathSubgraph, labels: np.ndarray) -> Homophily:
     the ratio's numerator and denominator; a subgraph with no countable edge
     raises UndefinedRatioError."""
     labels = np.asarray(labels)
-    coo = sub.adjacency.tocoo()
-    rows, cols = coo.row, coo.col
-    total = rows.shape[0]
+    a = sub.adjacency
+    total = a.nnz
     if total == 0:
         raise UndefinedRatioError("homophily ratio of an empty subgraph is undefined")
-    known = (labels[rows] >= 0) & (labels[cols] >= 0)
+    row_labels = np.repeat(labels, np.diff(a.indptr))
+    col_labels = labels[a.indices]
+    known = (row_labels >= 0) & (col_labels >= 0)
     counted = int(known.sum())
     if counted == 0:
         raise UndefinedRatioError("homophily ratio undefined: no edge has both endpoints labeled")
-    same = int(((labels[rows] == labels[cols]) & known).sum())
+    same = int(((row_labels == col_labels) & known).sum())
     return Homophily(same / counted, total, counted / total)
 
 

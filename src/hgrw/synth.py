@@ -74,6 +74,16 @@ class SynthConfig:
             raise ValueError("target_nodes * mean_degree / 2 rounds to 0 edges per self relation")
         if self.aux_sizes and self.aux_edges == 0:
             raise ValueError("target_nodes * mean_degree rounds to 0 edges per aux relation")
+        # at level 1 (0) every edge joins a same-class (cross-class) pair; once
+        # those run out the sampler only burns its attempt budget, which grows
+        # with the edge count
+        n, sizes = self.target_nodes, _class_sizes(self.target_nodes, self.num_classes)
+        same = sum(k * (k - 1) // 2 for k in sizes)
+        for p in self.self_homophily:
+            _check_capacity("self", p, self.self_edges, same, n * (n - 1) // 2 - same)
+        for size, p in zip(self.aux_sizes, self.aux_homophily):
+            same = sum(k * m for k, m in zip(sizes, _class_sizes(size, self.num_classes)))
+            _check_capacity("aux", p, self.aux_edges, same, n * size - same)
 
     @property
     def self_edges(self) -> int:
@@ -85,6 +95,23 @@ class SynthConfig:
     def aux_edges(self) -> int:
         """The edges of each target-to-aux relation: mean_degree per target node."""
         return int(round(self.target_nodes * self.mean_degree))
+
+
+def _class_sizes(n: int, c: int) -> list[int]:
+    """The class sizes that _balanced_classes gives n nodes."""
+    return [n // c + (k < n % c) for k in range(c)]
+
+
+def _check_capacity(kind: str, level: float, edges: int, same: int, cross: int) -> None:
+    """Reject a level of 1 (0) whose edge count exceeds the same-class
+    (cross-class) pairs a relation can hold; other levels mix both."""
+    capacity = {1.0: same, 0.0: cross}.get(level)
+    if capacity is not None and edges > capacity:
+        pairs = "same-class" if level == 1.0 else "cross-class"
+        raise ValueError(
+            f"homophily level {level} needs {edges} {pairs} pairs per {kind} relation, "
+            f"but the classes hold only {capacity}"
+        )
 
 
 def _balanced_classes(rng: np.random.Generator, n: int, c: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import math
 import os
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +435,40 @@ def test_missing_model_file_for_rewire_reports_cleanly(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("hgrw: data error:") and err.count("\n") == 1
+
+
+SATURATED_LEVELS = [
+    ["--target-nodes", "100", "--mean-degree", "99", "--p-self", "1.0"],
+    ["--target-nodes", "100", "--mean-degree", "60", "--p-self", "0.0"],
+    ["--target-nodes", "100", "--aux-size", "10", "--p-aux", "1.0", "--mean-degree", "6"],
+    ["--target-nodes", "100", "--aux-size", "10", "--p-aux", "0.0", "--mean-degree", "6"],
+]
+
+
+@pytest.mark.parametrize("flags", SATURATED_LEVELS, ids=[" ".join(f) for f in SATURATED_LEVELS])
+def test_level_without_enough_class_pairs_is_usage_error(flags, tmp_path, capsys):
+    # a level of 1 (0) draws only same-class (cross-class) pairs, so sampling
+    # more edges than there are such pairs would never end
+    start = time.perf_counter()
+    assert main(["synth", "--out", str(tmp_path / "ds"), *flags]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "the classes hold only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nodes,level,degree,edges", [
+    ("100", "1.0", "49", 2450),  # 2 * C(50, 2) same-class pairs
+    ("100", "0.0", "50", 2500),  # 50 * 50 cross-class pairs
+    ("101", "1.0", "49.505", 2500),  # C(51, 2) + C(50, 2)
+])
+def test_level_zero_or_one_fills_every_pair_it_allows(nodes, level, degree, edges, tmp_path):
+    d = str(tmp_path / "ds")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", d, "--target-nodes", nodes, "--mean-degree", degree,
+                     "--p-self", level]) == 0
+    g = load_graph(d)
+    rows, cols = g.adjacency[0].nonzero()
+    assert rows.size == 2 * edges
+    assert np.all((g.labels[rows] == g.labels[cols]) == (level == "1.0"))
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Metamorphic checks: renaming the target nodes permutes every result and
-changes no value, whatever order the floating-point sums run in."""
+changes no value, whatever order the floating-point sums run in; renaming
+the nodes of an aux type changes no result at all."""
 
 import dataclasses
 
@@ -8,24 +9,26 @@ from hypothesis import given, settings, strategies as st
 
 from hgrw.learner import LearnerConfig, train
 from hgrw.metapath import compose_metapath, enumerate_metapaths, measurable_homophily
-from hgrw.sparse import bool_csr
+from hgrw.sparse import _takes_dense_route, bool_csr
 from hgrw.synth import SynthConfig, synth_generate
 from hgrw.targets import TargetsConfig, similarity_targets
 
 
-def rename_targets(g, perm):
-    """``g`` with old target node perm[i] renamed i in every edge, feature,
-    label and split."""
+def rename_nodes(g, node_type, perm):
+    """``g`` with old node perm[i] of ``node_type`` renamed i in every edge and
+    feature, and in the labels and splits when it is the target type."""
     new_id = np.empty_like(perm)
     new_id[perm] = np.arange(perm.size)
     adjacency = []
     for r, adj in zip(g.schema.relations, g.adjacency):
         coo = adj.tocoo()
-        rows = new_id[coo.row] if r.src_type == g.target_type else coo.row
-        cols = new_id[coo.col] if r.dst_type == g.target_type else coo.col
+        rows = new_id[coo.row] if r.src_type == node_type else coo.row
+        cols = new_id[coo.col] if r.dst_type == node_type else coo.col
         adjacency.append(bool_csr(rows, cols, adj.shape))
     features = list(g.features)
-    features[g.target_type] = features[g.target_type][perm]
+    features[node_type] = features[node_type][perm]
+    if node_type != g.target_type:
+        return dataclasses.replace(g, adjacency=tuple(adjacency), features=tuple(features))
     return dataclasses.replace(
         g, adjacency=tuple(adjacency), features=tuple(features),
         labels=g.labels[perm], splits=g.splits[perm],
@@ -42,7 +45,7 @@ def fit(g, paths, cfg):
 def test_renaming_target_nodes_permutes_every_result(n, seed):
     g = synth_generate(SynthConfig(target_nodes=n, aux_sizes=(20,), aux_homophily=(0.5,), seed=seed))
     perm = np.random.default_rng(seed).permutation(n)
-    gp = rename_targets(g, perm)
+    gp = rename_nodes(g, g.target_type, perm)
     paths = enumerate_metapaths(g.schema, g.target_type, 2)
 
     for path in paths:
@@ -59,3 +62,22 @@ def test_renaming_target_nodes_permutes_every_result(n, seed):
     for row, row_p in zip(history, history_p, strict=True):
         np.testing.assert_allclose(row_p.losses, row.losses, rtol=1e-12, atol=0)
     np.testing.assert_allclose(model_p.params, model.params, rtol=0, atol=1e-12)
+
+
+@given(n=st.integers(30, 300), seed=st.integers(0, 2**16))
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_renaming_aux_nodes_changes_no_target_subgraph(n, seed):
+    # The 8-node aux type is dense enough for the BLAS route of the boolean
+    # product, the 200-node one is not.
+    g = synth_generate(SynthConfig(target_nodes=n, aux_sizes=(8, 200), aux_homophily=(0.5, 0.2), seed=seed))
+    to_small, from_small = g.adjacency[2], g.adjacency[3]
+    assert _takes_dense_route(to_small, from_small) and not _takes_dense_route(g.adjacency[4], g.adjacency[5])
+    paths = enumerate_metapaths(g.schema, g.target_type, 3)
+    rng = np.random.default_rng(seed)
+    for aux in (1, 2):
+        gp = rename_nodes(g, aux, rng.permutation(g.schema.node_types[aux].node_count))
+        for path in paths:
+            sub, sub_p = compose_metapath(g, path), compose_metapath(gp, path)
+            np.testing.assert_array_equal(sub_p.adjacency.indptr, sub.adjacency.indptr)
+            np.testing.assert_array_equal(sub_p.adjacency.indices, sub.adjacency.indices)
+            assert measurable_homophily(sub_p, gp.labels) == measurable_homophily(sub, g.labels)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hgrw import sparse
 from hgrw.errors import DataError, UndefinedRatioError
 from hgrw.metapath import (
     MetaPath,
@@ -12,6 +13,7 @@ from hgrw.metapath import (
     path_homophily,
     path_label,
 )
+from hgrw.sparse import check_csr
 
 from conftest import make_graph, random_hetero_graph, symmetric_edges
 from oracles import csr_pairs, dfs_compose_pairs, edge_scan_hr
@@ -61,6 +63,63 @@ class TestCompose:
         for path in enumerate_metapaths(g.schema, g.target_type, 3)[:8]:
             sub = compose_metapath(g, path)
             assert csr_pairs(sub.adjacency) == dfs_compose_pairs(g, path)
+            assert check_csr(sub.adjacency) == []
+
+    def test_dense_and_sparse_routes_give_the_same_matrix(self):
+        natural = sparse._takes_dense_route
+        taken, force = set(), []
+
+        def rule(a, b):
+            if force:
+                return force[0]
+            route = natural(a, b)
+            taken.add(route)
+            return route
+
+        @given(seed=st.integers(0, 10**6))
+        @settings(max_examples=25, deadline=None, derandomize=True)
+        def check(seed):
+            g = dense_hetero_graph(np.random.default_rng(seed))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sparse, "_takes_dense_route", rule)
+                for path in enumerate_metapaths(g.schema, g.target_type, 3):
+                    subs = []
+                    for forced in ([], [True], [False]):
+                        force[:] = forced
+                        subs.append(compose_metapath(g, path).adjacency)
+                    for adj in subs:
+                        assert check_csr(adj) == []
+                        assert adj.data.dtype == bool and adj.data.all()
+                    for adj in subs[1:]:
+                        assert adj.indptr.dtype == subs[0].indptr.dtype
+                        assert adj.indices.dtype == subs[0].indices.dtype
+                        np.testing.assert_array_equal(adj.indptr, subs[0].indptr)
+                        np.testing.assert_array_equal(adj.indices, subs[0].indices)
+
+        check()
+        assert taken == {True, False}
+
+
+def dense_hetero_graph(rng: np.random.Generator):
+    """A target type with one self relation and one or two aux types, some
+    smaller and some larger than the target type, at densities from sparse
+    to nearly full, so that products fall on both sides of the route rule."""
+    n = int(rng.integers(3, 40))
+    counts = {"t": n}
+
+    def edges(n_src, n_dst):
+        mask = rng.random((n_src, n_dst)) < rng.uniform(0.05, 0.9)
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
+
+    relations = [("self", "t", "t", edges(n, n))]
+    for k in range(int(rng.integers(1, 3))):
+        name = f"a{k}"
+        counts[name] = int(rng.integers(1, 2 * n))
+        fwd = edges(n, counts[name])
+        relations.append((f"to_{name}", "t", name, fwd))
+        relations.append((f"from_{name}", name, "t", [(j, i) for i, j in fwd]))
+    labels = rng.integers(-1, 3, size=n).tolist()
+    return make_graph(counts, relations, "t", labels, num_classes=3)
 
 
 class TestEnumerate:

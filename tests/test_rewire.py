@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hgrw
+from hgrw import sparse
 from hgrw.cli import main
 from hgrw.dataio import load_graph
 from hgrw.errors import DataError
@@ -345,6 +346,14 @@ def read_plan(filename: str) -> dict[tuple[str, str, int, int], float]:
     return {(label, op, int(i), int(j)): float(s) for label, op, i, j, s in rows}
 
 
+def run_cli_with_blas_threads(threads: str, *argv: str) -> None:
+    """One hgrw command in a fresh interpreter that OpenBLAS starts with ``threads`` threads."""
+    src = os.path.dirname(os.path.dirname(hgrw.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "hgrw.cli", *argv], env=env, check=True, capture_output=True, timeout=300)
+
+
 def test_plan_does_not_depend_on_the_blas_thread_count(tmp_path):
     # OpenBLAS splits a product differently over 1 and 2 threads, so a score
     # may move by an ulp; only a pair that ties its node's k-th score or
@@ -354,14 +363,10 @@ def test_plan_does_not_depend_on_the_blas_thread_count(tmp_path):
         assert main(["synth", "--out", ds, "--target-nodes", "500", "--seed", "4"]) == 0
         assert main(["train", ds, "--out", model, "--epochs-attr", "20", "--epochs-label", "5",
                      "--seed", "4"]) == 0
-    src = os.path.dirname(os.path.dirname(hgrw.__file__))
     plans = []
     for threads in ("1", "2"):
         out = str(tmp_path / f"rw{threads}")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        subprocess.run([sys.executable, "-m", "hgrw.cli", "rewire", ds, "--model", model, "--out", out],
-                       env=env, check=True, capture_output=True, timeout=300)
+        run_cli_with_blas_threads(threads, "rewire", ds, "--model", model, "--out", out)
         plans.append(read_plan(os.path.join(out, "rewire_plan.tsv")))
 
     g = load_graph(ds)
@@ -384,3 +389,24 @@ def test_plan_does_not_depend_on_the_blas_thread_count(tmp_path):
         score = one.get(key, two.get(key))
         assert abs(score - cfg.epsilon) <= 1e-12 or abs(score - kth.get((label, i), np.inf)) <= 1e-12, key
     assert len(one.keys() & two.keys()) > 1000
+
+
+def test_diag_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # Paths through the rewired relations are dense enough for the BLAS
+    # route, whose 0/1 sums are exact in any order.
+    ds, model, rw = str(tmp_path / "ds"), str(tmp_path / "m.msl"), str(tmp_path / "rw")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", ds, "--target-nodes", "200", "--seed", "3"]) == 0
+        assert main(["train", ds, "--out", model, "--epochs-attr", "5", "--epochs-label", "2",
+                     "--seed", "3"]) == 0
+        assert main(["rewire", ds, "--model", model, "--out", rw]) == 0
+    g = load_graph(rw)
+    rewired = [a for r, a in zip(g.schema.relations, g.adjacency) if r.name.startswith("rw:")]
+    assert sparse._takes_dense_route(rewired[0], rewired[1])
+
+    reports = []
+    for threads in ("1", "2"):
+        report = tmp_path / f"diag{threads}.json"
+        run_cli_with_blas_threads(threads, "diag", rw, "--report", str(report))
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]

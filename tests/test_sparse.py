@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from hgrw.graph import HeteroGraph
 from hgrw.metapath import MetaPath, compose_metapath
-from hgrw.sparse import bool_csr, check_csr, row_normalize
+from hgrw.sparse import _product_steps, bool_csr, bool_spgemm, check_csr, dense_bool_csr, row_normalize
 
 from conftest import csr_identity, make_graph, raw_csr, same_structure
 from oracles import csr_first_unsorted_row, csr_pairs, dense_bool_product, dense_matmul, row_cols
@@ -166,6 +166,34 @@ class TestBoolSpgemm:
         left.sort_indices()
         right.sort_indices()
         assert same_structure(left, right)
+
+
+class TestRoutes:
+    """bool_spgemm's dense route and its work count W."""
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_product_and_work_count_match_oracles(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, inner, cols = (int(x) for x in rng.integers(1, 12, size=3))
+        a, da = random_csr(rng, rows, inner, density=float(rng.uniform(0, 1)))
+        b, db = random_csr(rng, inner, cols, density=float(rng.uniform(0, 1)))
+        steps = sum(int(np.count_nonzero(db[k])) for k in np.nonzero(da)[1])
+        assert _product_steps(a, b) == _product_steps(da > 0, b) == steps
+        want = dense_bool_product(da > 0, db > 0)
+        for lhs in (a, da > 0):
+            out = bool_spgemm(lhs, b)
+            assert np.array_equal(out if isinstance(out, np.ndarray) else out.toarray(), want)
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_dense_bool_csr_is_canonical(self, seed):
+        rng = np.random.default_rng(seed)
+        m, dense = random_csr(rng, int(rng.integers(0, 9)), int(rng.integers(1, 9)), float(rng.uniform(0, 1)))
+        out = dense_bool_csr(dense > 0)
+        assert check_csr(out) == []
+        assert same_structure(out, m)
+        assert out.indptr.dtype == m.indptr.dtype and out.indices.dtype == m.indices.dtype
 
 
 class TestHelpers:
