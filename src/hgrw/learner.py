@@ -1,9 +1,12 @@
 """Pairwise similarity learner over meta-paths.
 
 The encoder maps every node type into one hidden space, propagates the
-stacked features through the row-normalized union adjacency of the whole
+stacked features through the row-normalized union adjacency W of the whole
 graph (its type-blind homogeneous counterpart), and applies one projection
-per meta-path per hop. Pair similarity is the product over hops of centered
+per meta-path per hop. No nonlinearity precedes the walk, so hop k encodes
+W^k X w_in for the block-diagonal matrix X of every type's features: the
+model computes each W^k X once (as SGC does), and no training step runs a
+sparse product. Pair similarity is the product over hops of centered
 cosines, trained against the targets module with exact hand-derived
 gradients; a min-norm solver balances the per-path objectives.
 
@@ -114,8 +117,8 @@ def param_views(flat: np.ndarray, layout: Layout) -> dict[tuple, np.ndarray]:
 
 
 class SimilarityModel:
-    """Trainable state: the flat parameter vector with its projection views,
-    and the cached hop encodings, kept coherent via a version counter."""
+    """Trainable state: the flat parameter vector and its projection views,
+    the fixed W^k X, and the hop encodings, cached under a version counter."""
 
     def __init__(
         self,
@@ -140,12 +143,18 @@ class SimilarityModel:
         self.paths = tuple(paths)
         self.path_index = {p: i for i, p in enumerate(self.paths)}
         union, offsets = union_adjacency(g)
-        self._walk_sp = row_normalize(union)
-        self._walk_sp_t = self._walk_sp.T.tocsr()
-        self.type_offsets = offsets
+        walk = row_normalize(union)
         self.target_slice = slice(
             int(offsets[g.target_type]), int(offsets[g.target_type] + g.target_count)
         )
+        # W^k X for the block-diagonal feature matrix X (module docstring)
+        x = sp.block_diag(g.features, format="csr").toarray().astype(np.float64)
+        n_feat = x.shape[1]
+        self._propagated = []
+        for _ in range(cfg.num_hops):
+            x = walk @ x
+            self._propagated.append(x)
+        self._target_propagated_t = [np.ascontiguousarray(p[self.target_slice].T) for p in self._propagated]
         self.dist_features = tuple(dist_features) if dist_features is not None else None
 
         self.layout = param_layout(g, cfg, len(self.paths))
@@ -155,7 +164,8 @@ class SimilarityModel:
         for key, (fan_in, fan_out) in self.layout:  # Xavier uniform
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             views[key][...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        self.w_in = {t.type_id: views["in", t.type_id] for t in g.schema.node_types}
+        # the input projections lead the layout in type-id order: one block
+        self.w_in_all = self.params[: n_feat * cfg.hidden_dim].reshape(n_feat, cfg.hidden_dim)
         self.w_path = [[views["path", p, k] for k in range(cfg.num_hops)] for p in range(len(self.paths))]
 
         self._version = 0
@@ -173,23 +183,9 @@ class SimilarityModel:
 
     def encodings(self) -> tuple[np.ndarray, ...]:
         if self._enc_version != self._version:
-            self._encodings = self._compute_encodings()
+            self._encodings = tuple(x @ self.w_in_all for x in self._propagated)
             self._enc_version = self._version
         return self._encodings
-
-    def _compute_encodings(self) -> tuple[np.ndarray, ...]:
-        g = self.graph
-        n_all = int(self.type_offsets[-1])
-        h0 = np.empty((n_all, self.cfg.hidden_dim))
-        for t in g.schema.node_types:
-            lo, hi = int(self.type_offsets[t.type_id]), int(self.type_offsets[t.type_id + 1])
-            h0[lo:hi] = np.asarray(g.features[t.type_id], dtype=np.float64) @ self.w_in[t.type_id]
-        out = []
-        z = h0
-        for _ in range(self.cfg.num_hops):
-            z = np.asarray(self._walk_sp @ z)
-            out.append(z)
-        return tuple(out)
 
 
 @dataclass
@@ -355,9 +351,9 @@ def gradients(
 
     The backward pass mirrors the forward chain: residual -> hop cosines
     (leave-one-out products) -> unit rows -> centering -> per-hop projection
-    -> encoder propagation -> input projections. A one-hop model takes the
-    window part from Gram products (_factored_window), a deeper one from the
-    dense window (_dense_window).
+    -> input projections, through the target rows of W^k X. A one-hop model
+    takes the window part from Gram products (_factored_window), a deeper one
+    from the dense window (_dense_window).
     """
     pidx = m.path_index[path]
     reps = _path_reps(m, path)
@@ -382,10 +378,9 @@ def gradients(
             row_units, col_units, targets, rows, cols, full, include_attr, include_label
         )
 
-    n_all = int(m.type_offsets[-1])
     grad = np.zeros_like(m.params)
     grads = param_views(grad, m.layout)
-    dz_global = [np.zeros((n_all, d)) for _ in range(k_hops)]
+    g_in = grad[: m.w_in_all.size].reshape(m.w_in_all.shape)
 
     for k in range(k_hops):
         rep = reps[k]
@@ -413,16 +408,8 @@ def gradients(
         d_h = d_h[:, :d]  # concatenated distribution columns are constants
 
         grads["path", pidx, k][...] = rep.z_target.T @ d_h
-        dz_global[k][m.target_slice] = d_h @ m.w_path[pidx][k].T
-
-    acc = np.zeros((n_all, d))
-    for k in range(k_hops - 1, -1, -1):
-        acc += dz_global[k]
-        acc = np.asarray(m._walk_sp_t @ acc)
-    for t in m.graph.schema.node_types:
-        lo, hi = int(m.type_offsets[t.type_id]), int(m.type_offsets[t.type_id + 1])
-        x = np.asarray(m.graph.features[t.type_id], dtype=np.float64)
-        grads["in", t.type_id][...] = x.T @ acc[lo:hi]
+        # z_k = (W^k X) w_in, and only the target rows of z_k reach the loss
+        g_in += m._target_propagated_t[k] @ (d_h @ m.w_path[pidx][k].T)
     return GradientResult(l1, l2, grad)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -228,17 +229,17 @@ def merge_into_graph(g: HeteroGraph, rewired: list[MetaPathSubgraph]) -> HeteroG
     )
 
 
-def plan_tsv_lines(plans: list[RewirePlan], schema: HeteroSchema) -> list[str]:
-    lines = ["metapath\top\ti\tj\tscore"]
+def plan_tsv_text(plans: list[RewirePlan], schema: HeteroSchema) -> str:
+    """The plan file: a header, then ``label<TAB>op<TAB>i<TAB>j<TAB>repr(score)``
+    lines, each path's block one %-format of a repeated line template."""
+    blocks = ["metapath\top\ti\tj\tscore\n"]
     for plan in plans:
-        label = path_label(schema, plan.path)
-        for i, j, s in plan.additions:
-            lines.append(f"{label}\tadd\t{i}\t{j}\t{s!r}")
-        for i, j, s in plan.removals:
-            lines.append(f"{label}\tdel\t{i}\t{j}\t{s!r}")
-    return lines
+        label = path_label(schema, plan.path).replace("%", "%%")
+        for op, pairs in (("add", plan.additions), ("del", plan.removals)):
+            blocks.append((f"{label}\t{op}\t%d\t%d\t%r\n" * len(pairs)) % tuple(chain.from_iterable(pairs)))
+    return "".join(blocks)
 
 
 def save_plan_tsv(plans: list[RewirePlan], schema: HeteroSchema, filename: str) -> None:
     with atomic_write(filename, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(plan_tsv_lines(plans, schema)) + "\n")
+        fh.write(plan_tsv_text(plans, schema))

@@ -11,19 +11,28 @@ each entry an OR over ANDs. Weighted products go through the operator that
 rows x inner and an inner x cols matrix. Let W be the multiply-add steps of
 the sparse product, the sum over a's entries of the row length of b. When
 W >= rows * cols (on average the sparse product reaches every output cell at
-least once) and inner <= min(rows, cols) (the dense operands hold at most
-twice the result's cells), it takes the dense route: one float32 BLAS product
-of the dense operands, compared with 0. Every term is 0 or 1, so the sum is
-positive exactly when some term is 1, whatever the thread count or summation
-order. Otherwise it takes scipy's sparse product. A dense result becomes the
-same canonical CSR that the sparse route ends in (``dense_bool_csr``), so no
-caller can tell which route ran.
+least once), inner <= min(rows, cols) (the dense operands hold at most
+twice the result's cells) and rows * inner * cols <= DENSE_WORK_RATIO * W
+(the BLAS work grows as n^3, W as n^2), it takes the dense route: one
+float32 BLAS product of the dense operands, compared with 0. Every term is 0
+or 1, so the sum is positive exactly when some term is 1, whatever the
+thread count or summation order. Otherwise it takes scipy's sparse product.
+A dense result becomes the same canonical CSR that the sparse route ends in
+(``dense_bool_csr``), so no caller can tell which route ran.
+
+DENSE_WORK_RATIO is the measured break-even: composing (r0, r0) on
+one-relation synth graphs at degree about sqrt(n) (one BLAS thread, best of
+3, each route forced), dense won up to n = 2,300 (rows * inner * cols =
+2,158 W), the two tied within noise from 2,400 to 2,700 (2,261-2,549 W) and
+sparse won from 3,000 (2,821 W) on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+
+DENSE_WORK_RATIO = 2500
 
 
 def bool_csr(rows, cols, shape: tuple[int, int]) -> sp.csr_matrix:
@@ -83,9 +92,11 @@ def _product_steps(a: sp.csr_matrix | np.ndarray, b: sp.csr_matrix) -> int:
 
 def _takes_dense_route(a: sp.csr_matrix | np.ndarray, b: sp.csr_matrix) -> bool:
     """The route rule of ``bool_spgemm``."""
-    rows, inner = a.shape
-    cols = b.shape[1]
-    return inner <= min(rows, cols) and _product_steps(a, b) >= rows * cols
+    (rows, inner), cols = a.shape, b.shape[1]
+    if inner > min(rows, cols):
+        return False
+    steps = _product_steps(a, b)
+    return steps >= rows * cols and rows * inner * cols <= DENSE_WORK_RATIO * steps
 
 
 def bool_spgemm(a: sp.csr_matrix | np.ndarray, b: sp.csr_matrix) -> sp.csr_matrix | np.ndarray:

@@ -11,17 +11,19 @@ def make_graph(
     relations: list[tuple[str, str, str, list[tuple[int, int]]]],
     target: str,
     labels: list[int],
-    feature_dim: int = 3,
+    feature_dim: int | dict[str, int] = 3,
     num_classes: int | None = None,
     features: dict[str, np.ndarray] | None = None,
     train: list[int] | None = None,
     seed: int = 0,
 ) -> HeteroGraph:
-    """Small-graph builder for tests: explicit edge lists, random features."""
+    """Small-graph builder for tests: explicit edge lists, random features;
+    ``feature_dim`` is one width for every type or a width per type name."""
     rng = np.random.default_rng(seed)
     names = list(node_counts)
+    dims = feature_dim if isinstance(feature_dim, dict) else dict.fromkeys(names, feature_dim)
     node_types = tuple(
-        NodeType(i, name, node_counts[name], feature_dim) for i, name in enumerate(names)
+        NodeType(i, name, node_counts[name], dims[name]) for i, name in enumerate(names)
     )
     tid = {name: i for i, name in enumerate(names)}
     rels = []
@@ -35,7 +37,7 @@ def make_graph(
         if features and name in features:
             feats.append(np.asarray(features[name], dtype=np.float32))
         else:
-            feats.append(rng.standard_normal((node_counts[name], feature_dim)).astype(np.float32))
+            feats.append(rng.standard_normal((node_counts[name], dims[name])).astype(np.float32))
     labels_arr = np.asarray(labels, dtype=np.int64)
     n_tgt = node_counts[target]
     assert labels_arr.shape == (n_tgt,)

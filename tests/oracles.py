@@ -12,8 +12,9 @@ import scipy.sparse as sp
 
 from hgrw.errors import NumericError
 from hgrw.graph import HeteroGraph
-from hgrw.learner import GradientResult, PairBatch, SimilarityModel, _path_reps, param_views
-from hgrw.metapath import MetaPath, MetaPathSubgraph
+from hgrw.learner import GradientResult, PairBatch, SimilarityModel, _path_reps, param_views, union_adjacency
+from hgrw.metapath import MetaPath, MetaPathSubgraph, path_label
+from hgrw.sparse import row_normalize
 from hgrw.targets import ZERO_NORM_CUTOFF
 
 
@@ -223,7 +224,9 @@ def dense_gradients(
     if include_label:
         g_s += 2.0 * mb * r2
 
-    n_all = int(m.type_offsets[-1])
+    union, offsets = union_adjacency(m.graph)
+    walk_t = row_normalize(union).T.tocsr()
+    n_all, lo_target = int(offsets[-1]), int(offsets[m.graph.target_type])
     grad = np.zeros_like(m.params)
     grads = param_views(grad, m.layout)
     dz_global = [np.zeros((n_all, d)) for _ in range(k_hops)]
@@ -240,13 +243,13 @@ def dense_gradients(
         np.add.at(d_centered, cols, db)
         d_h = (d_centered - d_centered.mean(axis=0))[:, :d]
         grads["path", pidx, k][...] = rep.z_target.T @ d_h
-        dz_global[k][m.target_slice] = d_h @ m.w_path[pidx][k].T
+        dz_global[k][lo_target : lo_target + n_target] = d_h @ m.w_path[pidx][k].T
 
     acc = np.zeros((n_all, d))
     for k in range(k_hops - 1, -1, -1):
-        acc = np.asarray(m._walk_sp_t @ (acc + dz_global[k]))
+        acc = np.asarray(walk_t @ (acc + dz_global[k]))
     for t in m.graph.schema.node_types:
-        lo, hi = int(m.type_offsets[t.type_id]), int(m.type_offsets[t.type_id + 1])
+        lo, hi = int(offsets[t.type_id]), int(offsets[t.type_id + 1])
         grads["in", t.type_id][...] = np.asarray(m.graph.features[t.type_id], dtype=np.float64).T @ acc[lo:hi]
     return GradientResult(float((r1 * r1).sum()), float((mb * r2 * r2).sum()), grad)
 
@@ -430,3 +433,15 @@ def write_edges_per_line(adj: sp.csr_matrix, filename: str) -> None:
     with open(filename, "w", encoding="utf-8") as fh:
         for i, j in zip(coo.row, coo.col):
             fh.write(f"{i}\t{j}\n")
+
+
+def plan_tsv_lines_per_pair(plans, schema) -> list[str]:
+    """The plan file's lines, each formatted on its own with an f-string."""
+    lines = ["metapath\top\ti\tj\tscore"]
+    for plan in plans:
+        label = path_label(schema, plan.path)
+        for i, j, s in plan.additions:
+            lines.append(f"{label}\tadd\t{i}\t{j}\t{s!r}")
+        for i, j, s in plan.removals:
+            lines.append(f"{label}\tdel\t{i}\t{j}\t{s!r}")
+    return lines

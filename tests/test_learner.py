@@ -20,6 +20,7 @@ from hgrw.learner import (
     save_history_csv,
     save_model,
     train,
+    union_adjacency,
 )
 from hgrw.metapath import MetaPath, compose_metapath, enumerate_metapaths
 from hgrw.sparse import row_normalize
@@ -86,6 +87,33 @@ def planted_instance(n=30, seed=0, num_hops=1, paths_len=1, concat=False, alpha=
     return g, paths, targets, model
 
 
+def two_type_instance(seed, num_hops, dims=(3, 5), n=(9, 6), hidden=4):
+    """A random graph of target type "p" and a second type "a" of another
+    feature width: a self relation on "p" and the pair p -> a, a -> p,
+    with the model over the paths (self) and (p -> a -> p)."""
+    rng = np.random.default_rng(seed)
+
+    def edges(n_src, n_dst):
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(rng.random((n_src, n_dst)) < 0.35))]
+
+    pa = edges(n[0], n[1])
+    g = make_graph(
+        {"p": n[0], "a": n[1]},
+        [("pp", "p", "p", symmetric_edges(edges(n[0], n[0]))), ("pa", "p", "a", pa),
+         ("ap", "a", "p", [(j, i) for i, j in pa])],
+        "p",
+        labels=rng.integers(0, 2, n[0]).tolist(),
+        num_classes=2,
+        feature_dim={"p": dims[0], "a": dims[1]},
+        seed=seed,
+    )
+    paths = [MetaPath((0,)), MetaPath((1, 2))]
+    tcfg = TargetsConfig(num_hops=num_hops)
+    targets = [similarity_targets(compose_metapath(g, p), g, tcfg)[1] for p in paths]
+    model = SimilarityModel(g, paths, LearnerConfig(hidden_dim=hidden, num_hops=num_hops, seed=seed))
+    return g, paths, targets, model
+
+
 class TestEncode:
     def test_empty_graph_propagates_zero(self):
         g = make_graph({"n": 3}, [("r", "n", "n", [])], "n", labels=[0, 1, 0])
@@ -127,10 +155,28 @@ class TestEncode:
         z = model.encodings()
         assert z[0].shape == (5, 6) and z[1].shape == (5, 6)
 
+    @given(seed=st.integers(0, 10**4), num_hops=st.integers(1, 3),
+           dims=st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    @settings(max_examples=30, deadline=None)
+    def test_mixed_types_match_the_explicit_walk(self, seed, num_hops, dims):
+        g, _, _, model = two_type_instance(seed, num_hops, dims)
+        rng = np.random.default_rng(seed)
+        w_in = [rng.normal(size=(t.feature_dim, 4)) for t in g.schema.node_types]
+        for t, w in enumerate(w_in):
+            replace_param(model, ("in", t), w)
+        union, _ = union_adjacency(g)
+        walk = row_normalize(union)
+        z = np.concatenate([x.astype(np.float64) @ w for x, w in zip(g.features, w_in)])
+        encodings = model.encodings()
+        assert len(encodings) == num_hops
+        for enc in encodings:
+            z = walk @ z
+            assert np.max(np.abs(enc - z)) <= 1e-12
+
     def test_cache_tracks_parameter_updates(self):
         g, paths, _, model = planted_instance()
         z1 = model.encodings()[0].copy()
-        replace_param(model, ("in", 0), model.w_in[0] + 0.1)
+        replace_param(model, ("in", 0), param_views(model.params, model.layout)["in", 0] + 0.1)
         z2 = model.encodings()[0]
         assert not np.allclose(z1, z2)
 
@@ -255,6 +301,20 @@ class TestGradients:
         for key, analytic in param_views(res.grad, model.layout).items():
             err = np.abs(analytic - ref[key])
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(ref[key])), 1e-6)
+            assert np.max(err / denom) < 1e-4
+
+    @pytest.mark.parametrize("path", [0, 1])
+    def test_two_types_two_hops_input_blocks_match_finite_differences(self, path):
+        g, paths, targets, model = two_type_instance(seed=4, num_hops=2)
+        batch = PairBatch(np.array([0, 2, 3, 7]), np.array([1, 2, 5, 6, 8]))
+        res = gradients(model, paths[path], batch, targets[path])
+        ref = param_views(fd_gradients(model, paths[path], batch, targets[path]), model.layout)
+        views = param_views(res.grad, model.layout)
+        for t in g.schema.node_types:
+            analytic = views["in", t.type_id]
+            assert np.abs(analytic).max() > 1e-6
+            err = np.abs(analytic - ref["in", t.type_id])
+            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(ref["in", t.type_id])), 1e-6)
             assert np.max(err / denom) < 1e-4
 
 

@@ -19,8 +19,9 @@ from hgrw.metapath import MetaPath, MetaPathSubgraph, compose_metapath, path_hom
 from hgrw.rewire import (
     CandidateSet,
     RewireConfig,
+    RewirePlan,
     merge_into_graph,
-    plan_tsv_lines,
+    plan_tsv_text,
     rewire_metapath,
     save_plan_tsv,
     score_candidates,
@@ -34,6 +35,7 @@ from oracles import (
     dfs_compose_pairs,
     model_similarity,
     pairs_csr,
+    plan_tsv_lines_per_pair,
     rewire_with_sets,
     scan_candidates_per_row,
 )
@@ -242,12 +244,31 @@ def test_plan_tsv_format():
     cfg = RewireConfig(edge_budget=2, epsilon=-2.0, gamma=0.9)
     sub = compose_metapath(g, path)
     _, plan = rewire_metapath(sub, score_candidates(model, path, cfg), model, cfg)
-    lines = plan_tsv_lines([plan], g.schema)
+    text = plan_tsv_text([plan], g.schema)
+    assert text.endswith("\n")
+    lines = text.splitlines()
     assert lines[0] == "metapath\top\ti\tj\tscore"
     for line in lines[1:]:
         label, op, i, j, score = line.split("\t")
         assert op in ("add", "del")
         int(i), int(j), float(score)
+
+
+def test_plan_tsv_matches_the_per_pair_lines():
+    # a relation name with a % sign, beside scores whose repr is unusual
+    relations = [("r", "n%d", "n%d", [(0, 1)]), ("r%s", "n%d", "n%d", [(1, 2)]),
+                 ("x", "n%d", "a", [(0, 0)]), ("y", "a", "n%d", [(0, 0)])]
+    g = make_graph({"n%d": 4, "a": 2}, relations, "n%d", labels=[0, 1, 0, 1])
+    scores = [-0.0, 0.0, 1e-300, 5e-324, 1.0, -1.0, 3.0, 0.1 + 0.2, 1e16, 1e-5, -2.5e-7, 0.6]
+    plans = [
+        RewirePlan(MetaPath((0,))),
+        RewirePlan(MetaPath((1,)), additions=[(k % 4, (k + 1) % 4, s) for k, s in enumerate(scores)],
+                   removals=[(1, 3, -0.0), (0, 2, 2.0)]),
+        RewirePlan(MetaPath((2, 3)), removals=[(3, 0, 1e-300)]),
+    ]
+    text = plan_tsv_text(plans, g.schema)
+    assert "N(r%s)N" in text
+    assert text == "\n".join(plan_tsv_lines_per_pair(plans, g.schema)) + "\n"
 
 
 def test_failed_plan_write_keeps_existing_file(tmp_path):
