@@ -10,7 +10,10 @@ import scipy.sparse as sp
 
 from .errors import DataError, UndefinedRatioError
 from .graph import HeteroGraph, HeteroSchema
-from .sparse import bool_spgemm, dense_bool_csr
+
+# Name prefix of the relations that rewiring adds: each is already a rewired
+# meta-path subgraph, so it forms a one-hop path and nothing longer.
+REWIRED_PREFIX = "rw:"
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,7 @@ def path_label(schema: HeteroSchema, path: MetaPath) -> str:
 def compose_metapath(g: HeteroGraph, path: MetaPath) -> MetaPathSubgraph:
     """Compose the path's relation matrices into a boolean subgraph over the
     target type: the union of the product with its transpose, diagonal
-    removed, canonicalised once at the end. Each product takes the route
-    that ``bool_spgemm`` picks; a dense result is symmetrised in dense form."""
+    removed, canonicalised once at the end."""
     seq = path_type_sequence(g.schema, path)
     if seq[0] != g.target_type or seq[-1] != g.target_type:
         raise DataError(
@@ -77,11 +79,7 @@ def compose_metapath(g: HeteroGraph, path: MetaPath) -> MetaPathSubgraph:
         )
     acc = g.adjacency[path.relation_ids[0]]
     for rid in path.relation_ids[1:]:
-        acc = bool_spgemm(acc, g.adjacency[rid])
-    if isinstance(acc, np.ndarray):
-        acc |= acc.T
-        np.fill_diagonal(acc, False)
-        return MetaPathSubgraph(path=path, adjacency=dense_bool_csr(acc))
+        acc = acc @ g.adjacency[rid]
     adj = (acc + acc.T).tocsr()
     adj.setdiag(False)
     adj.eliminate_zeros()
@@ -93,13 +91,15 @@ def _mirror_map(schema: HeteroSchema) -> dict[int, int]:
     """rel_id -> rel_id of its unique structural inverse, when unambiguous.
 
     A pair (r, q) mirrors when q is the only relation with r's endpoints
-    swapped and vice versa; only such mutual pairs enter the map.
+    swapped and vice versa; only such mutual pairs enter the map. Rewired
+    relations neither enter it nor make another relation's mirror ambiguous.
     """
+    original = [r for r in schema.relations if not r.name.startswith(REWIRED_PREFIX)]
     by_ends: dict[tuple[int, int], list[int]] = {}
-    for r in schema.relations:
+    for r in original:
         by_ends.setdefault((r.src_type, r.dst_type), []).append(r.rel_id)
     mirror: dict[int, int] = {}
-    for r in schema.relations:
+    for r in original:
         swapped = by_ends.get((r.dst_type, r.src_type), [])
         back = by_ends.get((r.src_type, r.dst_type), [])
         if len(swapped) == 1 and len(back) == 1:
@@ -111,7 +111,7 @@ def enumerate_metapaths(schema: HeteroSchema, target: int, max_len: int) -> list
     """All type-compatible paths of length <= max_len anchored at ``target``,
     in lexicographic relation-id order. A path whose structural reverse is a
     distinct, lexicographically smaller path is dropped (both induce the same
-    symmetric subgraph)."""
+    symmetric subgraph). A rewired relation forms only its one-hop path."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     out_rels: dict[int, list[int]] = {}
@@ -127,6 +127,10 @@ def enumerate_metapaths(schema: HeteroSchema, target: int, max_len: int) -> list
             return
         for rid in out_rels.get(cur_type, []):
             r = schema.relations[rid]
+            if r.name.startswith(REWIRED_PREFIX):
+                if not prefix and r.dst_type == target:
+                    found.append((rid,))
+                continue
             prefix.append(rid)
             if r.dst_type == target:
                 found.append(tuple(prefix))

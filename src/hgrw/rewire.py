@@ -21,7 +21,7 @@ from .dataio import atomic_write
 from .errors import DataError
 from .graph import HeteroGraph, HeteroSchema, Relation
 from .learner import SimilarityModel, _path_reps
-from .metapath import MetaPath, MetaPathSubgraph, path_label
+from .metapath import REWIRED_PREFIX, MetaPath, MetaPathSubgraph, path_label
 from .sparse import bool_csr
 
 GROUPS = 64  # column groups per score row for the top-k lower bound
@@ -209,7 +209,7 @@ def merge_into_graph(g: HeteroGraph, rewired: list[MetaPathSubgraph]) -> HeteroG
         n = g.target_count
         if sub.adjacency.shape != (n, n):
             raise DataError("rewired subgraph is not over the target type")
-        name = f"rw:{path_label(g.schema, sub.path)}"
+        name = REWIRED_PREFIX + path_label(g.schema, sub.path)
         if name in taken:
             raise DataError(f"relation name {name!r} already exists")
         taken.add(name)

@@ -6,33 +6,12 @@ indices strictly increasing within each row (so no duplicates) and every
 stored value True. A product of two such matrices is the boolean product,
 each entry an OR over ANDs. Weighted products go through the operator that
 ``row_normalize`` returns.
-
-``bool_spgemm`` takes one of two routes for a boolean product ``a @ b`` of a
-rows x inner and an inner x cols matrix. Let W be the multiply-add steps of
-the sparse product, the sum over a's entries of the row length of b. When
-W >= rows * cols (on average the sparse product reaches every output cell at
-least once), inner <= min(rows, cols) (the dense operands hold at most
-twice the result's cells) and rows * inner * cols <= DENSE_WORK_RATIO * W
-(the BLAS work grows as n^3, W as n^2), it takes the dense route: one
-float32 BLAS product of the dense operands, compared with 0. Every term is 0
-or 1, so the sum is positive exactly when some term is 1, whatever the
-thread count or summation order. Otherwise it takes scipy's sparse product.
-A dense result becomes the same canonical CSR that the sparse route ends in
-(``dense_bool_csr``), so no caller can tell which route ran.
-
-DENSE_WORK_RATIO is the measured break-even: composing (r0, r0) on
-one-relation synth graphs at degree about sqrt(n) (one BLAS thread, best of
-3, each route forced), dense won up to n = 2,300 (rows * inner * cols =
-2,158 W), the two tied within noise from 2,400 to 2,700 (2,261-2,549 W) and
-sparse won from 3,000 (2,821 W) on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-
-DENSE_WORK_RATIO = 2500
 
 
 def bool_csr(rows, cols, shape: tuple[int, int]) -> sp.csr_matrix:
@@ -80,42 +59,3 @@ def check_csr(a: sp.csr_matrix, label: str = "csr") -> list[str]:
         bad.append(f"{label}: stored values must all be True")
     return bad
 
-
-def _product_steps(a: sp.csr_matrix | np.ndarray, b: sp.csr_matrix) -> int:
-    """W, the multiply-add steps of the sparse product ``a @ b``; ``a`` is a
-    matrix or a dense bool array."""
-    lengths = np.diff(b.indptr)
-    if isinstance(a, np.ndarray):
-        return int(np.count_nonzero(a, axis=0) @ lengths)
-    return int(lengths[a.indices].sum())
-
-
-def _takes_dense_route(a: sp.csr_matrix | np.ndarray, b: sp.csr_matrix) -> bool:
-    """The route rule of ``bool_spgemm``."""
-    (rows, inner), cols = a.shape, b.shape[1]
-    if inner > min(rows, cols):
-        return False
-    steps = _product_steps(a, b)
-    return steps >= rows * cols and rows * inner * cols <= DENSE_WORK_RATIO * steps
-
-
-def bool_spgemm(a: sp.csr_matrix | np.ndarray, b: sp.csr_matrix) -> sp.csr_matrix | np.ndarray:
-    """The boolean product ``a @ b``: a dense bool array on the dense route,
-    a scipy CSR otherwise (``a`` may be the dense result of an earlier
-    product). See the module docstring for the rule."""
-    if _takes_dense_route(a, b):
-        lhs = a if isinstance(a, np.ndarray) else a.toarray()
-        return (lhs.astype(np.float32) @ b.toarray().astype(np.float32)) > 0
-    if isinstance(a, np.ndarray):
-        a = dense_bool_csr(a)
-    return a @ b
-
-
-def dense_bool_csr(d: np.ndarray) -> sp.csr_matrix:
-    """The canonical matrix of a dense bool array, in one pass over it."""
-    rows, cols = d.shape
-    indptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(d, axis=1), out=indptr[1:])
-    indices = np.flatnonzero(d)
-    np.remainder(indices, cols, out=indices)
-    return sp.csr_matrix((np.ones(indices.shape[0], dtype=bool), indices, indptr), shape=d.shape)

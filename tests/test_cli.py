@@ -17,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 from hgrw.cli import _config, build_parser, main
 from hgrw.dataio import load_graph, save_graph
 from hgrw.learner import LearnerConfig
-from hgrw.metapath import compose_metapath, enumerate_metapaths, path_label
+from hgrw.metapath import MetaPath, compose_metapath, enumerate_metapaths, path_label
 from hgrw.rewire import RewireConfig
 from hgrw.synth import SynthConfig
 from hgrw.targets import TargetsConfig
 from conftest import make_graph, symmetric_edges
+from oracles import csr_pairs, dfs_compose_pairs
 from test_dataio import graphs_equal
 
 
@@ -426,6 +427,35 @@ class TestDiag:
         for row in doc["paths"]:
             assert {"metapath", "hr", "coverage", "edges", "complexity"} == set(row)
             assert row["complexity"] is None or row["complexity"] >= 0.0
+
+
+def test_demo_diag_measures_rewired_relations_as_one_hop_paths(tmp_path):
+    # the README demo at seed 0: each original path once, and each rw:
+    # relation as its own one-hop path, never a walk through it
+    ds, model, rw, report = (str(tmp_path / name) for name in ("ds", "m.msl", "rw", "diag.json"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", ds, "--target-nodes", "500", "--p-self", "0.3",
+                     "--p-self", "0.3", "--seed", "0"]) == 0
+        assert main(["train", ds, "--out", model, "--seed", "0"]) == 0
+        assert main(["rewire", ds, "--model", model, "--out", rw]) == 0
+        assert main(["diag", rw, "--report", report]) == 0
+    g, before = load_graph(rw), load_graph(ds).schema
+    original, rewired = g.schema.relations[:len(before.relations)], g.schema.relations[len(before.relations):]
+    assert len(rewired) == 6 and all(r.name.startswith("rw:") for r in rewired)
+    want = enumerate_metapaths(before, g.target_type, 2) + [MetaPath((r.rel_id,)) for r in rewired]
+    rows = json.loads(Path(report).read_text())["paths"]
+    assert len(rows) == 12
+    assert [row["metapath"] for row in rows] == [path_label(g.schema, p) for p in want]
+
+    # an explicit --path still composes through a rewired relation
+    path = MetaPath((rewired[0].rel_id, original[1].rel_id))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["diag", rw, "--report", report, "--path", f"{rewired[0].name},{original[1].name}"]) == 0
+    [row] = json.loads(Path(report).read_text())["paths"]
+    pairs = dfs_compose_pairs(g, path)
+    assert row["metapath"] == path_label(g.schema, path)
+    assert row["edges"] == len(pairs)
+    assert csr_pairs(compose_metapath(g, path).adjacency) == pairs
 
 
 def test_missing_model_file_for_rewire_reports_cleanly(tmp_path, capsys):

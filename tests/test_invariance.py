@@ -1,15 +1,17 @@
 """Metamorphic checks: renaming the target nodes permutes every result and
 changes no value, whatever order the floating-point sums run in; renaming
-the nodes of an aux type changes no result at all."""
+the nodes of an aux type changes no result at all; relabelling the classes
+changes no value."""
 
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hgrw.learner import LearnerConfig, train
 from hgrw.metapath import compose_metapath, enumerate_metapaths, measurable_homophily
-from hgrw.sparse import _takes_dense_route, bool_csr
+from hgrw.rewire import RewireConfig, rewire_metapath, score_candidates
+from hgrw.sparse import bool_csr
 from hgrw.synth import SynthConfig, synth_generate
 from hgrw.targets import TargetsConfig, similarity_targets
 
@@ -67,11 +69,7 @@ def test_renaming_target_nodes_permutes_every_result(n, seed):
 @given(n=st.integers(30, 300), seed=st.integers(0, 2**16))
 @settings(max_examples=10, deadline=None, derandomize=True)
 def test_renaming_aux_nodes_changes_no_target_subgraph(n, seed):
-    # The 8-node aux type is dense enough for the BLAS route of the boolean
-    # product, the 200-node one is not.
     g = synth_generate(SynthConfig(target_nodes=n, aux_sizes=(8, 200), aux_homophily=(0.5, 0.2), seed=seed))
-    to_small, from_small = g.adjacency[2], g.adjacency[3]
-    assert _takes_dense_route(to_small, from_small) and not _takes_dense_route(g.adjacency[4], g.adjacency[5])
     paths = enumerate_metapaths(g.schema, g.target_type, 3)
     rng = np.random.default_rng(seed)
     for aux in (1, 2):
@@ -81,3 +79,37 @@ def test_renaming_aux_nodes_changes_no_target_subgraph(n, seed):
             np.testing.assert_array_equal(sub_p.adjacency.indptr, sub.adjacency.indptr)
             np.testing.assert_array_equal(sub_p.adjacency.indices, sub.adjacency.indices)
             assert measurable_homophily(sub_p, gp.labels) == measurable_homophily(sub, g.labels)
+
+
+@given(n=st.integers(30, 200), seed=st.integers(0, 2**16))
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_relabelling_the_classes_changes_no_value(n, seed):
+    g = synth_generate(SynthConfig(target_nodes=n, num_classes=4, aux_sizes=(20,), aux_homophily=(0.5,), seed=seed))
+    perm = np.random.default_rng(seed).permutation(g.num_classes)
+    assume(np.any(perm != np.arange(g.num_classes)))
+    gp = dataclasses.replace(g, labels=np.where(g.labels >= 0, perm[g.labels], g.labels))
+    paths = enumerate_metapaths(g.schema, g.target_type, 2)
+    subs = [compose_metapath(g, p) for p in paths]
+
+    targets, targets_p = ([similarity_targets(sub, h, TargetsConfig())[1] for sub in subs] for h in (g, gp))
+    for t, t_p in zip(targets, targets_p):
+        for block, block_p in zip(t.full_window(), t_p.full_window(), strict=True):
+            np.testing.assert_allclose(block_p, block, rtol=0, atol=1e-12)
+
+    # Full windows: every pair's target then enters every loss, so the check
+    # covers the whole target matrix. A sampled window (batch size below n)
+    # would draw the same pairs in both runs, since the sampler reads only
+    # the seed, but would leave most pairs out of the losses.
+    cfg = LearnerConfig(hidden_dim=8, epochs_attr=3, epochs_label=2, batch_rows=n, batch_cols=n, seed=seed)
+    model, history = train(g, paths, targets, cfg)
+    model_p, history_p = train(gp, paths, targets_p, cfg)
+    for row, row_p in zip(history, history_p, strict=True):
+        np.testing.assert_allclose(row_p.losses, row.losses, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(row_p.lambdas, row.lambdas, rtol=0, atol=1e-12)
+
+    rcfg = RewireConfig(epsilon=0.0, gamma=0.0)
+    for sub in subs:
+        plan, plan_p = (rewire_metapath(sub, score_candidates(m, sub.path, rcfg), m, rcfg)[1] for m in (model, model_p))
+        for pairs, pairs_p in ((plan.additions, plan_p.additions), (plan.removals, plan_p.removals)):
+            assert [p[:2] for p in pairs_p] == [p[:2] for p in pairs]
+            np.testing.assert_allclose([p[2] for p in pairs_p], [p[2] for p in pairs], rtol=0, atol=1e-12)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hgrw import sparse
 from hgrw.errors import DataError, UndefinedRatioError
 from hgrw.metapath import (
     MetaPath,
@@ -13,6 +12,7 @@ from hgrw.metapath import (
     path_homophily,
     path_label,
 )
+from hgrw.rewire import merge_into_graph
 from hgrw.sparse import check_csr
 
 from conftest import make_graph, random_hetero_graph, symmetric_edges
@@ -64,62 +64,6 @@ class TestCompose:
             sub = compose_metapath(g, path)
             assert csr_pairs(sub.adjacency) == dfs_compose_pairs(g, path)
             assert check_csr(sub.adjacency) == []
-
-    def test_dense_and_sparse_routes_give_the_same_matrix(self):
-        natural = sparse._takes_dense_route
-        taken, force = set(), []
-
-        def rule(a, b):
-            if force:
-                return force[0]
-            route = natural(a, b)
-            taken.add(route)
-            return route
-
-        @given(seed=st.integers(0, 10**6))
-        @settings(max_examples=25, deadline=None, derandomize=True)
-        def check(seed):
-            g = dense_hetero_graph(np.random.default_rng(seed))
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(sparse, "_takes_dense_route", rule)
-                for path in enumerate_metapaths(g.schema, g.target_type, 3):
-                    subs = []
-                    for forced in ([], [True], [False]):
-                        force[:] = forced
-                        subs.append(compose_metapath(g, path).adjacency)
-                    for adj in subs:
-                        assert check_csr(adj) == []
-                        assert adj.data.dtype == bool and adj.data.all()
-                    for adj in subs[1:]:
-                        assert adj.indptr.dtype == subs[0].indptr.dtype
-                        assert adj.indices.dtype == subs[0].indices.dtype
-                        np.testing.assert_array_equal(adj.indptr, subs[0].indptr)
-                        np.testing.assert_array_equal(adj.indices, subs[0].indices)
-
-        check()
-        assert taken == {True, False}
-
-
-def dense_hetero_graph(rng: np.random.Generator):
-    """A target type with one self relation and one or two aux types, some
-    smaller and some larger than the target type, at densities from sparse
-    to nearly full, so that products fall on both sides of the route rule."""
-    n = int(rng.integers(3, 40))
-    counts = {"t": n}
-
-    def edges(n_src, n_dst):
-        mask = rng.random((n_src, n_dst)) < rng.uniform(0.05, 0.9)
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
-
-    relations = [("self", "t", "t", edges(n, n))]
-    for k in range(int(rng.integers(1, 3))):
-        name = f"a{k}"
-        counts[name] = int(rng.integers(1, 2 * n))
-        fwd = edges(n, counts[name])
-        relations.append((f"to_{name}", "t", name, fwd))
-        relations.append((f"from_{name}", name, "t", [(j, i) for i, j in fwd]))
-    labels = rng.integers(-1, 3, size=n).tolist()
-    return make_graph(counts, relations, "t", labels, num_classes=3)
 
 
 class TestEnumerate:
@@ -183,6 +127,34 @@ class TestEnumerate:
         paths = enumerate_metapaths(g.schema, g.target_type, 2)
         ids = [p.relation_ids for p in paths]
         assert ids == sorted(ids)
+
+    @given(
+        self_relations=st.integers(1, 2),
+        aux_types=st.integers(0, 2),
+        max_len=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rewired_relations_add_only_their_one_hop_paths(self, self_relations, aux_types, max_len, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8))
+        counts = {"n": n, **{name: int(rng.integers(1, 5)) for name in "ab"[:aux_types]}}
+
+        def edges(n_src, n_dst):
+            return [(int(i), int(j)) for i, j in zip(*np.nonzero(rng.random((n_src, n_dst)) < 0.5))]
+
+        relations = [(f"r{k}", "n", "n", edges(n, n)) for k in range(self_relations)]
+        for name in "ab"[:aux_types]:
+            fwd = edges(n, counts[name])
+            relations += [(f"n{name}", "n", name, fwd), (f"{name}n", name, "n", [(j, i) for i, j in fwd])]
+        g = make_graph(counts, relations, "n", labels=[0] * n)
+        before = [p.relation_ids for p in enumerate_metapaths(g.schema, 0, max_len)]
+        chosen = [p for p, keep in zip(before, rng.random(len(before)) < 0.7) if keep] or before[:1]
+        merged = merge_into_graph(g, [compose_metapath(g, MetaPath(ids)) for ids in chosen])
+        added = [(rid,) for rid in range(len(relations), len(merged.schema.relations))]
+        assert len(added) == len(chosen)
+        after = [p.relation_ids for p in enumerate_metapaths(merged.schema, 0, max_len)]
+        assert after == before + added
 
     def test_max_len_monotone(self):
         rng = np.random.default_rng(4)

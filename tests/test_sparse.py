@@ -1,15 +1,10 @@
-import contextlib
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hgrw import sparse
-from hgrw.cli import main
 from hgrw.graph import HeteroGraph
 from hgrw.metapath import MetaPath, compose_metapath
-from hgrw.sparse import _product_steps, bool_csr, bool_spgemm, check_csr, dense_bool_csr, row_normalize
+from hgrw.sparse import bool_csr, check_csr, row_normalize
 
 from conftest import csr_identity, make_graph, raw_csr, same_structure
 from oracles import csr_first_unsorted_row, csr_pairs, dense_bool_product, dense_matmul, row_cols
@@ -171,65 +166,6 @@ class TestBoolSpgemm:
         left.sort_indices()
         right.sort_indices()
         assert same_structure(left, right)
-
-
-class TestRoutes:
-    """bool_spgemm's dense route and its work count W."""
-
-    @given(seed=st.integers(0, 10**6))
-    @settings(max_examples=40, deadline=None)
-    def test_product_and_work_count_match_oracles(self, seed):
-        rng = np.random.default_rng(seed)
-        rows, inner, cols = (int(x) for x in rng.integers(1, 12, size=3))
-        a, da = random_csr(rng, rows, inner, density=float(rng.uniform(0, 1)))
-        b, db = random_csr(rng, inner, cols, density=float(rng.uniform(0, 1)))
-        steps = sum(int(np.count_nonzero(db[k])) for k in np.nonzero(da)[1])
-        assert _product_steps(a, b) == _product_steps(da > 0, b) == steps
-        want = dense_bool_product(da > 0, db > 0)
-        for lhs in (a, da > 0):
-            out = bool_spgemm(lhs, b)
-            assert np.array_equal(out if isinstance(out, np.ndarray) else out.toarray(), want)
-
-    @given(seed=st.integers(0, 10**6))
-    @settings(max_examples=40, deadline=None)
-    def test_dense_bool_csr_is_canonical(self, seed):
-        rng = np.random.default_rng(seed)
-        m, dense = random_csr(rng, int(rng.integers(0, 9)), int(rng.integers(1, 9)), float(rng.uniform(0, 1)))
-        out = dense_bool_csr(dense > 0)
-        assert check_csr(out) == []
-        assert same_structure(out, m)
-        assert out.indptr.dtype == m.indptr.dtype and out.indices.dtype == m.indices.dtype
-
-    def test_product_beyond_the_work_ratio_takes_the_sparse_route(self):
-        # n = 4,000 at degree 64 passes the first two terms of the rule, but
-        # its n^3 BLAS multiply-adds are 3,906 W, past the measured ratio
-        n, half = 4000, 32
-        rows = np.repeat(np.arange(n), 2 * half)
-        offsets = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
-        a = bool_csr(rows, (rows + np.tile(offsets, n)) % n, (n, n))
-        assert np.all(np.diff(a.indptr) == 2 * half)
-        steps = _product_steps(a, a)
-        assert steps >= n * n and n**3 > sparse.DENSE_WORK_RATIO * steps
-        assert not sparse._takes_dense_route(a, a)
-
-    def test_demo_diag_keeps_its_dense_products(self, tmp_path, monkeypatch):
-        # the README demo's rewired dataset: 48 of diag's 64 products are
-        # dense enough for the BLAS route, and the work ratio keeps them there
-        ds, model, rw = (str(tmp_path / name) for name in ("ds", "m.msl", "rw"))
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["synth", "--out", ds, "--target-nodes", "500", "--p-self", "0.3",
-                         "--p-self", "0.3", "--seed", "0"]) == 0
-            assert main(["train", ds, "--out", model, "--seed", "0"]) == 0
-            assert main(["rewire", ds, "--model", model, "--out", rw]) == 0
-            routes, rule = [], sparse._takes_dense_route
-
-            def counted_rule(a, b):
-                routes.append(rule(a, b))
-                return routes[-1]
-
-            monkeypatch.setattr(sparse, "_takes_dense_route", counted_rule)
-            assert main(["diag", rw, "--report", str(tmp_path / "diag.json")]) == 0
-        assert (sum(routes), len(routes)) == (48, 64)
 
 
 class TestHelpers:
