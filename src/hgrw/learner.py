@@ -5,15 +5,19 @@ stacked features through the row-normalized union adjacency W of the whole
 graph (its type-blind homogeneous counterpart), and applies one projection
 per meta-path per hop. No nonlinearity precedes the walk, so hop k encodes
 W^k X w_in for the block-diagonal matrix X of every type's features: the
-model computes each W^k X once (as SGC does), and no training step runs a
-sparse product. Pair similarity is the product over hops of centered
-cosines, trained against the targets module with exact hand-derived
-gradients; a min-norm solver balances the per-path objectives.
+model computes each W^k X once (as SGC does), keeps only its target rows
+M_k and their column mean, and no training step runs a sparse product.
+Pair similarity is the product over hops of centered cosines, trained
+against the targets module with exact hand-derived gradients; a min-norm
+solver balances the per-path objectives.
 
-A one-hop model computes a window's losses and its backward pass to the unit
-rows from n x w Gram products of the unit rows and the target factors, never
-forming a rows x cols array; models with two or more hops use the dense
-window, whose Hadamard product over hops has no small factored form.
+Centering is linear, so a hop's mean is mean(M_k) w_in W_p, and a training
+step projects, centers and normalises only its window's rows: the window,
+not the number of targets, sets the step's cost. A one-hop model computes
+the window's losses and its backward pass to the unit rows from w x w Gram
+products of the window's unit rows and target factors, never forming a
+rows x cols array; models with two or more hops use the dense window, whose
+Hadamard product over hops has no small factored form.
 
 Parameters, gradients and the Adam state are each one flat float64 vector
 in the order ``param_layout`` gives: input projections by node type id, then
@@ -63,8 +67,10 @@ class LearnerConfig:
         for name in ("hidden_dim", "num_hops", "epochs_attr", "epochs_label", "batch_rows", "batch_cols"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be finite and >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -118,7 +124,8 @@ def param_views(flat: np.ndarray, layout: Layout) -> dict[tuple, np.ndarray]:
 
 class SimilarityModel:
     """Trainable state: the flat parameter vector and its projection views,
-    the fixed W^k X, and the hop encodings, cached under a version counter."""
+    and per hop the fixed target rows M_k of W^k X with their column mean
+    (and, in concat mode, each path's distribution column means)."""
 
     def __init__(
         self,
@@ -144,18 +151,18 @@ class SimilarityModel:
         self.path_index = {p: i for i, p in enumerate(self.paths)}
         union, offsets = union_adjacency(g)
         walk = row_normalize(union)
-        self.target_slice = slice(
-            int(offsets[g.target_type]), int(offsets[g.target_type] + g.target_count)
-        )
-        # W^k X for the block-diagonal feature matrix X (module docstring)
+        target = slice(int(offsets[g.target_type]), int(offsets[g.target_type + 1]))
+        # W^k X for the block-diagonal feature matrix X (module docstring);
+        # only its target rows reach the loss, so only copies of them stay
         x = sp.block_diag(g.features, format="csr").toarray().astype(np.float64)
         n_feat = x.shape[1]
-        self._propagated = []
+        self.propagated = []
         for _ in range(cfg.num_hops):
             x = walk @ x
-            self._propagated.append(x)
-        self._target_propagated_t = [np.ascontiguousarray(p[self.target_slice].T) for p in self._propagated]
+            self.propagated.append(x[target].copy())
+        self.propagated_mean = [mk.mean(axis=0) for mk in self.propagated]
         self.dist_features = tuple(dist_features) if dist_features is not None else None
+        self.dist_mean = [[a.mean(axis=0) for a in df.attr] for df in self.dist_features or ()]
 
         self.layout = param_layout(g, cfg, len(self.paths))
         self.params = np.empty(sum(rows * cols for _, (rows, cols) in self.layout))
@@ -168,44 +175,40 @@ class SimilarityModel:
         self.w_in_all = self.params[: n_feat * cfg.hidden_dim].reshape(n_feat, cfg.hidden_dim)
         self.w_path = [[views["path", p, k] for k in range(cfg.num_hops)] for p in range(len(self.paths))]
 
-        self._version = 0
-        self._enc_version = -1
-        self._encodings: tuple[np.ndarray, ...] | None = None
-
-    # -- parameters ---------------------------------------------------------
-
     def set_params(self, values: np.ndarray) -> None:
         """Overwrite every parameter from a flat vector in layout order."""
         self.params[...] = values
-        self._version += 1
-
-    # -- encodings ----------------------------------------------------------
-
-    def encodings(self) -> tuple[np.ndarray, ...]:
-        if self._enc_version != self._version:
-            self._encodings = tuple(x @ self.w_in_all for x in self._propagated)
-            self._enc_version = self._version
-        return self._encodings
 
 
 @dataclass
 class _HopRep:
-    units: np.ndarray  # (n_target, width) centered unit rows; zero rows for degenerate nodes
+    """One hop of a path's representation of some target rows."""
+
+    units: np.ndarray  # (rows, width) centered unit rows; zero rows for degenerate nodes
     norms: np.ndarray  # centered norms before unit scaling
-    z_target: np.ndarray  # (n_target, hidden) encoder rows feeding this hop
+    inputs: np.ndarray  # (rows, sum of feature dims) the rows of M_k
+    z: np.ndarray  # (rows, hidden) encoder rows feeding this hop: inputs @ w_in
+    z_mean: np.ndarray  # (hidden,) the column mean of z over every target row
 
 
-def _path_reps(m: SimilarityModel, path: MetaPath) -> list[_HopRep]:
+def _path_reps(m: SimilarityModel, path: MetaPath, idx: np.ndarray | None = None) -> list[_HopRep]:
+    """Per hop, the path's representation of the target rows ``idx`` (every
+    target row when None), in that order, repeats included. Centering
+    subtracts the mean over every target row, mean(M_k) w_in W_p and, in
+    concat mode, the distribution columns' own mean, so no other row is read."""
     pidx = m.path_index[path]
-    enc = m.encodings()
     reps = []
     for k in range(m.cfg.num_hops):
-        z_t = enc[k][m.target_slice]
-        h = z_t @ m.w_path[pidx][k]
+        inputs = m.propagated[k] if idx is None else m.propagated[k][idx]
+        z = inputs @ m.w_in_all
+        z_mean = m.propagated_mean[k] @ m.w_in_all
+        h, mean = z @ m.w_path[pidx][k], z_mean @ m.w_path[pidx][k]
         if m.cfg.concat_distribution_features:
-            h = np.concatenate([h, m.dist_features[pidx].attr[k]], axis=1)
-        units, norms = centered_unit_rows(h)
-        reps.append(_HopRep(units=units, norms=norms, z_target=z_t))
+            dist = m.dist_features[pidx].attr[k]
+            h = np.concatenate([h, dist if idx is None else dist[idx]], axis=1)
+            mean = np.concatenate([mean, m.dist_mean[pidx][k]])
+        units, norms = centered_unit_rows(h, mean)
+        reps.append(_HopRep(units=units, norms=norms, inputs=inputs, z=z, z_mean=z_mean))
     return reps
 
 
@@ -216,16 +219,13 @@ class GradientResult:
     grad: np.ndarray  # flat, in layout order; other paths' projections get zeros
 
 
-def _scatter_add(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
-    # strictly increasing index sets (the sampler's output) take the fast path
-    if idx.size > 1 and np.all(np.diff(idx) > 0):
-        out[idx] += rows
-    else:
-        np.add.at(out, idx, rows)
-
-
-def _pick(x: np.ndarray, idx: np.ndarray, full: bool) -> np.ndarray:
-    return x if full else x[idx]
+def _centered_backward(g_units: np.ndarray, gs: np.ndarray, rep: _HopRep) -> np.ndarray:
+    """The gradient at the centered rows, from ``g_units`` at the unit rows
+    and ``gs``, its rowwise dots with them; zero at degenerate rows."""
+    degenerate = rep.norms < ZERO_NORM_CUTOFF
+    out = (g_units - gs[:, None] * rep.units) / np.where(degenerate, 1.0, rep.norms)[:, None]
+    out[degenerate] = 0.0
+    return out
 
 
 # Per hop, the backward terms of a window with hop cosines S_k = A_k B_k^T
@@ -286,8 +286,7 @@ def _factored_window(
     targets: SimilarityTargets,
     rows: np.ndarray,
     cols: np.ndarray,
-    full_rows: bool,
-    full_cols: bool,
+    same: bool,
     include_attr: bool,
     include_label: bool,
 ) -> tuple[float, float, list[_HopTerms]]:
@@ -300,21 +299,19 @@ def _factored_window(
     with one side of each Gram masked, and for the loss gradient G
     G B = 2 (A B^T B - P Q^T B) + 2 mr * (A B~^T B - Vr Vc~^T B), G^T A its
     mirror image. Row sums of G * S are the rowwise dots of G B with A,
-    column sums those of G^T A with B. A full window pairs every row with
-    every row, so its column side repeats the row side.
+    column sums those of G^T A with B. A window whose columns are its rows
+    (``same``) pairs them with themselves, so its column side repeats the
+    row side.
     """
     attr, label, mask = targets.one_hop_factors()
-    same = full_rows and full_cols
-    p, q = _pick(attr, rows, full_rows), _pick(attr, cols, full_cols)
-    vr, vc = _pick(label, rows, full_rows), _pick(label, cols, full_cols)
-    mr = _pick(mask, rows, full_rows)[:, None]
-    mc = _pick(mask, cols, full_cols)[:, None]
+    p, vr, mr = attr[rows], label[rows], mask[rows][:, None]
     mvr = mr * vr
     aa, pa, maa, va = a.T @ a, p.T @ a, (mr * a).T @ a, mvr.T @ a
     pp, vv = p.T @ p, mvr.T @ vr
     if same:
         bb, qb, mbb, vb, qq, ww = aa, pa, maa, va, pp, vv
     else:
+        q, vc, mc = attr[cols], label[cols], mask[cols][:, None]
         mvc = mc * vc
         bb, qb, mbb, vb = b.T @ b, q.T @ b, (mc * b).T @ b, mvc.T @ b
         qq, ww = q.T @ q, mvc.T @ vc
@@ -351,29 +348,26 @@ def gradients(
 
     The backward pass mirrors the forward chain: residual -> hop cosines
     (leave-one-out products) -> unit rows -> centering -> per-hop projection
-    -> input projections, through the target rows of W^k X. A one-hop model
-    takes the window part from Gram products (_factored_window), a deeper one
-    from the dense window (_dense_window).
+    -> input projections, through the window's rows of M_k. Full, sampled,
+    repeated and unsorted windows take the one form; a window whose columns
+    are its rows builds their representations once. A one-hop model takes
+    the window part from Gram products (_factored_window), a deeper one from
+    the dense window (_dense_window).
     """
     pidx = m.path_index[path]
-    reps = _path_reps(m, path)
     rows, cols = batch.rows, batch.cols
-    k_hops = m.cfg.num_hops
-    d = m.cfg.hidden_dim
     n_target = m.graph.target_count
-    arange = np.arange(n_target)
-    full_rows = rows.size == n_target and np.array_equal(rows, arange)
-    full_cols = cols.size == n_target and np.array_equal(cols, arange)
-
-    row_units = [_pick(rep.units, rows, full_rows) for rep in reps]
-    col_units = [_pick(rep.units, cols, full_cols) for rep in reps]
-    full = full_rows and full_cols
-    if k_hops == 1:
+    same = np.array_equal(rows, cols)
+    row_reps = _path_reps(m, path, rows)
+    col_reps = row_reps if same else _path_reps(m, path, cols)
+    row_units = [rep.units for rep in row_reps]
+    col_units = [rep.units for rep in col_reps]
+    if m.cfg.num_hops == 1:
         l1, l2, terms = _factored_window(
-            row_units[0], col_units[0], targets, rows, cols,
-            full_rows, full_cols, include_attr, include_label,
+            row_units[0], col_units[0], targets, rows, cols, same, include_attr, include_label
         )
     else:
+        full = same and rows.size == n_target and np.array_equal(rows, np.arange(n_target))
         l1, l2, terms = _dense_window(
             row_units, col_units, targets, rows, cols, full, include_attr, include_label
         )
@@ -381,35 +375,24 @@ def gradients(
     grad = np.zeros_like(m.params)
     grads = param_views(grad, m.layout)
     g_in = grad[: m.w_in_all.size].reshape(m.w_in_all.shape)
-
-    for k in range(k_hops):
-        rep = reps[k]
-        gb, ga, gs_rows, gs_cols = terms[k]
-        a = row_units[k]
-        b = col_units[k]
-        na = _pick(rep.norms, rows, full_rows)
-        nb = _pick(rep.norms, cols, full_cols)
-        na_safe = np.where(na < ZERO_NORM_CUTOFF, 1.0, na)
-        nb_safe = np.where(nb < ZERO_NORM_CUTOFF, 1.0, nb)
-        da = (gb - gs_rows[:, None] * a) / na_safe[:, None]
-        db = (ga - gs_cols[:, None] * b) / nb_safe[:, None]
-        da[na < ZERO_NORM_CUTOFF] = 0.0
-        db[nb < ZERO_NORM_CUTOFF] = 0.0
-
-        if full:
-            d_centered = da + db
-        else:
-            d_centered = np.zeros((n_target, rep.units.shape[1]))
-            _scatter_add(d_centered, rows, da)
-            _scatter_add(d_centered, cols, db)
-        # centering used the mean over all rows, so its backward spreads the
-        # negative column mean to every row
-        d_h = d_centered - d_centered.mean(axis=0)
-        d_h = d_h[:, :d]  # concatenated distribution columns are constants
-
-        grads["path", pidx, k][...] = rep.z_target.T @ d_h
-        # z_k = (W^k X) w_in, and only the target rows of z_k reach the loss
-        g_in += m._target_propagated_t[k] @ (d_h @ m.w_path[pidx][k].T)
+    d = m.cfg.hidden_dim
+    for k, (gb, ga, gs_rows, gs_cols) in enumerate(terms):
+        # concatenated distribution columns are constants
+        da = _centered_backward(gb, gs_rows, row_reps[k])[:, :d]
+        # a one-hop window whose columns are its rows has one side
+        db = da if ga is gb else _centered_backward(ga, gs_cols, col_reps[k])[:, :d]
+        sides = [(row_reps[k], da + db)] if same else [(row_reps[k], da), (col_reps[k], db)]
+        w_p_t = m.w_path[pidx][k].T
+        g_path = grads["path", pidx, k]
+        # the centering mean runs over every target row and is linear, so its
+        # backward is one rank-one term in s, the window's gradient sum
+        s = sum(d_h.sum(axis=0) for _, d_h in sides)
+        g_path -= np.outer(row_reps[k].z_mean, s)
+        g_in -= np.outer(m.propagated_mean[k], s @ w_p_t)
+        for rep, d_h in sides:
+            g_path += rep.z.T @ d_h
+            # z = M_k w_in, so the input projections see the window's rows of M_k
+            g_in += rep.inputs.T @ (d_h @ w_p_t)
     return GradientResult(l1, l2, grad)
 
 

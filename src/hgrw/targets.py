@@ -79,14 +79,14 @@ def neighborhood_distributions(
     )
 
 
-def centered_unit_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Center columns by their mean, then scale rows to unit norm; returns
-    the unit rows and the centered norms.
+def centered_unit_rows(mat: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Subtract the column mean ``mean`` from every row, then scale rows to
+    unit norm; returns the unit rows and the centered norms.
 
     Rows whose centered norm falls under the zero cutoff become zero rows, so
     any dot product against them is exactly 0 (the degenerate-pair value).
     """
-    centered = mat - mat.mean(axis=0)
+    centered = mat - mean
     norms = np.linalg.norm(centered, axis=1)
     safe = np.where(norms < ZERO_NORM_CUTOFF, 1.0, norms)
     units = centered / safe[:, None]
@@ -112,8 +112,8 @@ class SimilarityTargets:
 
     def __init__(self, df: DistributionFeatures):
         self.df = df
-        self._attr_units = tuple(centered_unit_rows(m)[0] for m in df.attr)
-        self._label_units = tuple(centered_unit_rows(m)[0] for m in df.label)
+        self._attr_units = tuple(centered_unit_rows(m, m.mean(axis=0))[0] for m in df.attr)
+        self._label_units = tuple(centered_unit_rows(m, m.mean(axis=0))[0] for m in df.label)
         self.mask = df.mask.astype(np.float64)
         self.n = df.attr[0].shape[0]
         self.num_hops = df.num_hops

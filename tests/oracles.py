@@ -242,7 +242,7 @@ def dense_gradients(
         np.add.at(d_centered, rows, da)
         np.add.at(d_centered, cols, db)
         d_h = (d_centered - d_centered.mean(axis=0))[:, :d]
-        grads["path", pidx, k][...] = rep.z_target.T @ d_h
+        grads["path", pidx, k][...] = rep.z.T @ d_h
         dz_global[k][lo_target : lo_target + n_target] = d_h @ m.w_path[pidx][k].T
 
     acc = np.zeros((n_all, d))

@@ -119,6 +119,10 @@ BAD_FLAGS = [
     ("train", ["--k1", "0"]),
     ("train", ["--alpha", "2"]),
     ("train", ["--seed", "-1"]),
+    ("train", ["--lr", "nan"]),
+    ("train", ["--lr", "inf"]),
+    ("train", ["--weight-decay", "nan"]),
+    ("train", ["--weight-decay", "-5"]),
     ("inspect", ["--max-path-len", "0"]),
     ("train", ["--max-path-len", "0"]),
     ("diag", ["--max-path-len", "0"]),
@@ -245,6 +249,8 @@ BAD_CHECKPOINTS = {
     "truncated parameters": lambda raw: raw[:-8],
     "huge hidden dim": _edit_header(lambda h: h["config"].update(hidden_dim=10**12)),
     "huge hop count": _edit_header(lambda h: h["config"].update(num_hops=10**12)),
+    "nan learning rate": _edit_header(lambda h: h["config"].update(learning_rate=float("nan"))),
+    "negative weight decay": _edit_header(lambda h: h["config"].update(weight_decay=-5.0)),
     "all parameters nan": _edit_params(lambda p: p.fill(np.nan)),
     "one infinite parameter": _edit_params(lambda p: p.__setitem__(0, np.inf)),
 }

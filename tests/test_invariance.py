@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from hgrw.learner import LearnerConfig, train
+from hgrw.learner import LearnerConfig, _path_reps, train
 from hgrw.metapath import compose_metapath, enumerate_metapaths, measurable_homophily
 from hgrw.rewire import RewireConfig, rewire_metapath, score_candidates
 from hgrw.sparse import bool_csr
@@ -37,6 +37,15 @@ def rename_nodes(g, node_type, perm):
     )
 
 
+def kth_scores(cands, n, k):
+    """Each source's k-th best candidate score; -inf where a source has fewer
+    than k candidates, so only epsilon bounds its set."""
+    counts = np.bincount(cands.sources, minlength=n)
+    lowest = np.full(n, np.inf)
+    np.minimum.at(lowest, cands.sources, cands.scores)
+    return np.where(counts == k, lowest, -np.inf)
+
+
 def fit(g, paths, cfg):
     targets = [similarity_targets(compose_metapath(g, p), g, TargetsConfig())[1] for p in paths]
     return train(g, paths, targets, cfg)
@@ -57,13 +66,31 @@ def test_renaming_target_nodes_permutes_every_result(n, seed):
         assert measurable_homophily(sub_p, gp.labels) == measurable_homophily(sub, g.labels)
 
     # Full windows only: a sampled window (batch size below n) draws index
-    # sets from the RNG, so the renamed graph would train on other pairs.
+    # sets from the RNG, so the renamed graph would train on other pairs and
+    # neither the parameters, the unit rows nor the rewire plans would match.
     cfg = LearnerConfig(hidden_dim=8, epochs_attr=3, epochs_label=2, batch_rows=n, batch_cols=n, seed=seed)
     model, history = fit(g, paths, cfg)
     model_p, history_p = fit(gp, paths, cfg)
     for row, row_p in zip(history, history_p, strict=True):
         np.testing.assert_allclose(row_p.losses, row.losses, rtol=1e-12, atol=0)
     np.testing.assert_allclose(model_p.params, model.params, rtol=0, atol=1e-12)
+
+    rcfg = RewireConfig(epsilon=0.0)
+    for path in paths:
+        for rep, rep_p in zip(_path_reps(model, path), _path_reps(model_p, path), strict=True):
+            np.testing.assert_allclose(rep_p.units, rep.units[perm], rtol=0, atol=1e-12)
+        sub, sub_p = compose_metapath(g, path), compose_metapath(gp, path)
+        cands = score_candidates(model, path, rcfg)
+        plan = rewire_metapath(sub, cands, model, rcfg)[1]
+        plan_p = rewire_metapath(sub_p, score_candidates(model_p, path, rcfg), model_p, rcfg)[1]
+        added = {(i, j): s for i, j, s in plan.additions}
+        added_p = {(int(perm[i]), int(perm[j])): s for i, j, s in plan_p.additions}
+        # a pair may differ only where a tie at a source's k-th score, or a
+        # score at epsilon, lets float order decide
+        kth = kth_scores(cands, n, rcfg.edge_budget)
+        for i, j in added.keys() ^ added_p.keys():
+            score = added.get((i, j), added_p.get((i, j)))
+            assert min(abs(score - kth[i]), abs(score - rcfg.epsilon)) <= 1e-12, (i, j, score)
 
 
 @given(n=st.integers(30, 300), seed=st.integers(0, 2**16))

@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,11 @@ def unit_rows(model, path):
     return _path_reps(model, path)[0].units
 
 
+def target_encodings(model, path):
+    """Per hop, the kept target rows of W^k X times the input projections."""
+    return [rep.z for rep in _path_reps(model, path)]
+
+
 def planted_instance(n=30, seed=0, num_hops=1, paths_len=1, concat=False, alpha=0.3):
     g = synth_generate(
         SynthConfig(target_nodes=n, num_classes=2, feature_dim=4,
@@ -118,7 +124,7 @@ class TestEncode:
     def test_empty_graph_propagates_zero(self):
         g = make_graph({"n": 3}, [("r", "n", "n", [])], "n", labels=[0, 1, 0])
         model = SimilarityModel(g, [MetaPath((0,))], LearnerConfig(hidden_dim=2, num_hops=1))
-        z = model.encodings()
+        z = target_encodings(model, MetaPath((0,)))
         assert len(z) == 1
         assert np.all(z[0] == 0.0)
 
@@ -127,7 +133,7 @@ class TestEncode:
         g = make_graph({"n": 3}, [("r", "n", "n", edges)], "n", labels=[0, 1, 0], feature_dim=3)
         model = SimilarityModel(g, [MetaPath((0,))], LearnerConfig(hidden_dim=3, num_hops=1))
         replace_param(model, ("in", 0), np.eye(3))
-        z = model.encodings()[0]
+        z = target_encodings(model, MetaPath((0,)))[0]
         expected = row_normalize(g.adjacency[0]) @ g.features[0].astype(np.float64)
         assert np.allclose(z, expected, atol=1e-12)
 
@@ -152,14 +158,15 @@ class TestEncode:
             num_classes=2,
         )
         model = SimilarityModel(g, [MetaPath((0, 1))], LearnerConfig(hidden_dim=6, num_hops=2))
-        z = model.encodings()
-        assert z[0].shape == (5, 6) and z[1].shape == (5, 6)
+        z = target_encodings(model, MetaPath((0, 1)))
+        # the model keeps only the target type's rows: the 3 papers
+        assert z[0].shape == (3, 6) and z[1].shape == (3, 6)
 
     @given(seed=st.integers(0, 10**4), num_hops=st.integers(1, 3),
            dims=st.tuples(st.integers(1, 6), st.integers(1, 6)))
     @settings(max_examples=30, deadline=None)
     def test_mixed_types_match_the_explicit_walk(self, seed, num_hops, dims):
-        g, _, _, model = two_type_instance(seed, num_hops, dims)
+        g, paths, _, model = two_type_instance(seed, num_hops, dims)
         rng = np.random.default_rng(seed)
         w_in = [rng.normal(size=(t.feature_dim, 4)) for t in g.schema.node_types]
         for t, w in enumerate(w_in):
@@ -167,18 +174,26 @@ class TestEncode:
         union, _ = union_adjacency(g)
         walk = row_normalize(union)
         z = np.concatenate([x.astype(np.float64) @ w for x, w in zip(g.features, w_in)])
-        encodings = model.encodings()
+        encodings = target_encodings(model, paths[0])
         assert len(encodings) == num_hops
         for enc in encodings:
             z = walk @ z
-            assert np.max(np.abs(enc - z)) <= 1e-12
+            assert np.max(np.abs(enc - z[: g.target_count])) <= 1e-12
 
-    def test_cache_tracks_parameter_updates(self):
-        g, paths, _, model = planted_instance()
-        z1 = model.encodings()[0].copy()
-        replace_param(model, ("in", 0), param_views(model.params, model.layout)["in", 0] + 0.1)
-        z2 = model.encodings()[0]
-        assert not np.allclose(z1, z2)
+
+class TestWindowReps:
+    @pytest.mark.parametrize("num_hops", [1, 2])
+    @pytest.mark.parametrize("concat", [False, True])
+    def test_window_rows_match_the_full_rows(self, num_hops, concat):
+        _, paths, _, model = planted_instance(n=20, seed=1, num_hops=num_hops, concat=concat)
+        rng = np.random.default_rng(num_hops)
+        full = _path_reps(model, paths[0])
+        windows = (np.array([7, 2, 2, 19, 0, 7]), rng.permutation(20)[:9], np.arange(20))
+        for idx in windows:
+            for rep, ref in zip(_path_reps(model, paths[0], idx), full, strict=True):
+                for name in ("units", "norms", "inputs", "z"):
+                    np.testing.assert_allclose(getattr(rep, name), getattr(ref, name)[idx], rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(rep.z_mean, ref.z_mean)
 
 
 class TestModelSimilarity:
@@ -352,6 +367,9 @@ def window(kind, n, rng):
         return np.sort(rng.choice(n, size=n // 2, replace=False)), rng.integers(0, n, 1)
     if kind == "unsorted":
         return rng.permutation(n)[: rng.integers(2, n + 1)], rng.permutation(n)
+    if kind == "square":  # the columns are the rows, repeats included
+        idx = rng.integers(0, n, n // 2 + 1)
+        return idx, idx.copy()
     return rng.integers(0, n, 2 * n), rng.integers(0, n, n // 2 + 1)  # repeated indices
 
 
@@ -366,7 +384,7 @@ class TestFactoredGradients:
     @given(
         seed=st.integers(0, 10**4),
         instance=st.sampled_from(["synth", "cancelling"]),
-        kind=st.sampled_from(["full", "sampled", "single row", "single column", "unsorted", "repeated"]),
+        kind=st.sampled_from(["full", "sampled", "single row", "single column", "unsorted", "repeated", "square"]),
         include_attr=st.booleans(),
         include_label=st.booleans(),
         concat=st.booleans(),
@@ -425,6 +443,29 @@ class TestFactoredGradients:
         replace_param(model, key, np.full(shape, np.nan))
         res = gradients(model, paths[0], full_batch(g.target_count), targets[0])
         assert not np.isfinite(res.l1) and not np.isfinite(res.l2)
+
+
+@pytest.mark.parametrize("num_hops", [1, 2])
+def test_sampled_window_sets_the_step_cost(num_hops):
+    """One step on a 100 x 80 window over 20,000 targets allocates for the
+    window's rows only: a single n x hidden float64 array would take 5 MB."""
+    n = 20_000
+    rng = np.random.default_rng(0)
+    pairs = list(zip(rng.integers(0, n, 2 * n).tolist(), rng.integers(0, n, 2 * n).tolist()))
+    g = make_graph({"n": n}, [("r", "n", "n", symmetric_edges(pairs))], "n",
+                   labels=rng.integers(0, 2, n).tolist(), num_classes=2)
+    path = MetaPath((0,))
+    model = SimilarityModel(g, [path], LearnerConfig(num_hops=num_hops))
+    # gradients reads the targets only through these blocks and factors
+    stub = StaticTargets(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)), np.ones(n))
+    batch = PairBatch(np.sort(rng.choice(n, 100, replace=False)), np.sort(rng.choice(n, 80, replace=False)))
+    tracemalloc.start()
+    try:
+        gradients(model, path, batch, stub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 class TestTrain:
