@@ -11,8 +11,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .diagnostics import complexity_measure, homophily_report, mean_aggregation
 from .dataio import atomic_write, load_graph, save_graph
 from .errors import DataError, NumericError, UndefinedMeasureError, UsageError
@@ -145,13 +143,11 @@ def _cmd_diag(args) -> int:
         measured.append((h, path))
         if h is None:
             continue
-        complexity = None
-        if np.unique(g.labels[labeled]).size >= 2:
-            reps = mean_aggregation(sub, g)
-            try:
-                complexity = complexity_measure(reps[labeled], g.labels[labeled])
-            except UndefinedMeasureError:
-                complexity = None
+        reps = mean_aggregation(sub, g)
+        try:
+            complexity = complexity_measure(reps[labeled], g.labels[labeled])
+        except UndefinedMeasureError:
+            complexity = None
         rows.append(
             {
                 "metapath": path_label(g.schema, path),

@@ -4,7 +4,7 @@ complexity measure of representation sets, and relative-improvement summaries.""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -61,7 +61,7 @@ def mean_aggregation(sub: MetaPathSubgraph, g: HeteroGraph) -> np.ndarray:
 class PathHomophily:
     """One path's row; a ratio or coverage is None where no edge is countable."""
 
-    label: str
+    metapath: str
     hr_before: float | None
     hr_after: float | None
     edges_before: int
@@ -77,17 +77,7 @@ class HomophilyReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "paths": [
-                {
-                    "metapath": row.label,
-                    "hr_before": row.hr_before,
-                    "hr_after": row.hr_after,
-                    "edges_before": row.edges_before,
-                    "edges_after": row.edges_after,
-                    "coverage": row.coverage,
-                }
-                for row in self.paths
-            ],
+            "paths": [asdict(row) for row in self.paths],
             "mh_before": self.mh_before,
             "mh_after": self.mh_after,
         }
@@ -102,7 +92,7 @@ class HomophilyReport:
         lines = ["metapath\thr_before\thr_after\tedges_before\tedges_after\tcoverage"]
         for row in self.paths:
             lines.append(
-                f"{row.label}\t{cell(row.hr_before)}\t{cell(row.hr_after)}"
+                f"{row.metapath}\t{cell(row.hr_before)}\t{cell(row.hr_after)}"
                 f"\t{row.edges_before}\t{row.edges_after}\t{cell(row.coverage)}"
             )
         lines.append(f"#mh\t{self.mh_before:.6f}\t{self.mh_after:.6f}")

@@ -16,13 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 from hgrw.cli import _config, build_parser, main
 from hgrw.dataio import load_graph, save_graph
+from hgrw.errors import DataError
+from hgrw.graph import SPLIT_NAMES
 from hgrw.learner import LearnerConfig
 from hgrw.metapath import MetaPath, compose_metapath, enumerate_metapaths, path_label
 from hgrw.rewire import RewireConfig
 from hgrw.synth import SynthConfig
 from hgrw.targets import TargetsConfig
 from conftest import make_graph, symmetric_edges
-from oracles import csr_pairs, dfs_compose_pairs
+from oracles import check_csr, csr_pairs, dfs_compose_pairs
 from test_dataio import graphs_equal
 
 
@@ -187,6 +189,17 @@ def _manifest_edit(*keys, value=None):
     return edit
 
 
+def copy_with_manifest_edit(dataset: str, d: str, edit) -> str:
+    """A copy of ``dataset`` at ``d`` whose manifest ``edit`` has rewritten."""
+    shutil.copytree(dataset, d)
+    path = os.path.join(d, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(edit(manifest), fh)
+    return d
+
+
 BAD_MANIFESTS = {
     "missing node_types": _manifest_edit("node_types"),
     "missing relations": _manifest_edit("relations"),
@@ -200,17 +213,40 @@ BAD_MANIFESTS = {
 
 @pytest.mark.parametrize("case", list(BAD_MANIFESTS))
 def test_malformed_manifest_is_data_error(case, dataset, tmp_path, capsys):
-    d = str(tmp_path / "ds")
-    shutil.copytree(dataset, d)
-    path = os.path.join(d, "manifest.json")
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(BAD_MANIFESTS[case](manifest), fh)
+    d = copy_with_manifest_edit(dataset, str(tmp_path / "ds"), BAD_MANIFESTS[case])
     assert main(["inspect", d]) == 2
     err = capsys.readouterr().err
     assert err.startswith("hgrw: data error:") and err.count("\n") == 1
     assert "manifest.json" in err
+
+
+@pytest.fixture(scope="module")
+def venue_dataset(tmp_path_factory):
+    """Two node types, the first in no relation, so that renaming it to the
+    target type's name leaves every relation's endpoints resolvable."""
+    d = str(tmp_path_factory.mktemp("venue") / "ds")
+    edges = symmetric_edges([(0, 1), (2, 3)])
+    save_graph(make_graph({"venue": 2, "paper": 4},
+                          [("cites", "paper", "paper", edges), ("links", "paper", "paper", edges)],
+                          "paper", labels=[0, 1, 0, 1]), d)
+    return d
+
+
+CONTENT_FAULTS = {
+    "node type renamed to another's": (_manifest_edit("node_types", 0, "name", value="paper"),
+                                       "duplicate node type names"),
+    "relation renamed to another's": (_manifest_edit("relations", 1, "name", value="cites"),
+                                      "duplicate relation names"),
+    "no class": (_manifest_edit("num_classes", value=0), "num_classes 0 < 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTENT_FAULTS))
+def test_content_fault_is_reported_by_the_loader(case, venue_dataset, tmp_path, capsys):
+    edit, message = CONTENT_FAULTS[case]
+    d = copy_with_manifest_edit(venue_dataset, str(tmp_path / "ds"), edit)
+    assert main(["inspect", d]) == 2
+    assert f"{d}: invalid dataset: {message}" in capsys.readouterr().err
 
 
 def _edit_header(edit):
@@ -596,8 +632,9 @@ MANIFEST_EDIT = st.tuples(
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_mutated_inputs_exit_with_a_code(fuzz_inputs, edits, manifest_edits):
     # every file of the dataset and the checkpoint are fair game, and the
-    # manifest also takes edits of its parsed fields; inspect and rewire
-    # must answer with an exit code, never a raise
+    # manifest also takes edits of its parsed fields; a dataset that loads
+    # holds the structure loading builds, and inspect and rewire must answer
+    # with an exit code, never a raise
     with tempfile.TemporaryDirectory() as tmp:
         ds, model = os.path.join(tmp, "ds"), os.path.join(tmp, "model.msl")
         shutil.copytree(fuzz_inputs[0], ds)
@@ -609,9 +646,26 @@ def test_mutated_inputs_exit_with_a_code(fuzz_inputs, edits, manifest_edits):
             path = files[which % len(files)]
             raw = Path(path).read_bytes()
             Path(path).write_bytes(mutate(raw, kind, pos, payload))
+        with contextlib.suppress(DataError):
+            assert_built_by_loader(load_graph(ds))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes = {
                 main(["inspect", ds]),
                 main(["rewire", ds, "--model", model, "--out", os.path.join(tmp, "rw")]),
             }
     assert codes <= {0, 2, 3}
+
+
+def assert_built_by_loader(g) -> None:
+    """The structure that ``load_graph`` builds itself, so that no file can
+    get it wrong and ``validate_graph`` does not check it."""
+    assert [t.type_id for t in g.schema.node_types] == list(range(len(g.schema.node_types)))
+    assert [r.rel_id for r in g.schema.relations] == list(range(len(g.schema.relations)))
+    counts = [t.node_count for t in g.schema.node_types]
+    assert len(g.adjacency) == len(g.schema.relations)
+    for r, adj in zip(g.schema.relations, g.adjacency):
+        assert adj.shape == (counts[r.src_type], counts[r.dst_type])
+        assert check_csr(adj) == []
+    assert [x.shape for x in g.features] == [(t.node_count, t.feature_dim) for t in g.schema.node_types]
+    assert g.labels.shape == g.splits.shape == (g.target_count,)
+    assert set(np.unique(g.splits).tolist()) <= set(SPLIT_NAMES)

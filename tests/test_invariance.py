@@ -1,13 +1,21 @@
 """Metamorphic checks: renaming the target nodes permutes every result and
 changes no value, whatever order the floating-point sums run in; renaming
 the nodes of an aux type changes no result at all; relabelling the classes
-changes no value."""
+changes no value; reordering the relation table changes no inspect row."""
 
+import contextlib
 import dataclasses
+import io
+import json
+import os
+import shutil
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from hgrw.cli import main
+from hgrw.dataio import save_graph
 from hgrw.learner import LearnerConfig, _path_reps, train
 from hgrw.metapath import compose_metapath, enumerate_metapaths, measurable_homophily
 from hgrw.rewire import RewireConfig, rewire_metapath, score_candidates
@@ -140,3 +148,38 @@ def test_relabelling_the_classes_changes_no_value(n, seed):
         for pairs, pairs_p in ((plan.additions, plan_p.additions), (plan.removals, plan_p.removals)):
             assert [p[:2] for p in pairs_p] == [p[:2] for p in pairs]
             np.testing.assert_allclose([p[2] for p in pairs_p], [p[2] for p in pairs], rtol=0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def two_aux_dataset(tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("relations") / "ds")
+    save_graph(synth_generate(SynthConfig(target_nodes=200, self_homophily=(0.3, 0.7), aux_sizes=(20, 30),
+                                          aux_homophily=(0.5, 0.8), seed=0)), d)
+    return d
+
+
+def inspect_rows(d, max_len):
+    """The rows of ``hgrw inspect``'s table, as a set, and its mh value."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["inspect", d, "--max-path-len", str(max_len)]) == 0
+    _, *rows, mh_line = out.getvalue().splitlines()
+    return set(rows), mh_line.split()[1]
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3])
+def test_permuting_the_relation_table_changes_no_inspect_row(two_aux_dataset, max_len, tmp_path):
+    # Of the mh line only the value is compared: max_homophily names the first
+    # path that attains the maximum, so on a tie the relation order can move it.
+    expected = inspect_rows(two_aux_dataset, max_len)
+    with open(os.path.join(two_aux_dataset, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    relations = manifest["relations"]
+    rng = np.random.default_rng(max_len)
+    for k in range(4):
+        d = str(tmp_path / f"perm{k}")
+        shutil.copytree(two_aux_dataset, d)
+        manifest["relations"] = [relations[i] for i in rng.permutation(len(relations))]
+        with open(os.path.join(d, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        assert inspect_rows(d, max_len) == expected

@@ -13,10 +13,9 @@ from hgrw.metapath import (
     path_label,
 )
 from hgrw.rewire import merge_into_graph
-from hgrw.sparse import check_csr
 
 from conftest import make_graph, random_hetero_graph, symmetric_edges
-from oracles import csr_pairs, dfs_compose_pairs, edge_scan_hr
+from oracles import check_csr, csr_pairs, dfs_compose_pairs, edge_scan_hr
 
 
 def paper_author_graph():

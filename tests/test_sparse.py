@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from hgrw.graph import HeteroGraph
 from hgrw.metapath import MetaPath, compose_metapath
-from hgrw.sparse import bool_csr, check_csr, row_normalize
+from hgrw.sparse import bool_csr, row_normalize
 
 from conftest import csr_identity, make_graph, raw_csr, same_structure
-from oracles import csr_first_unsorted_row, csr_pairs, dense_bool_product, dense_matmul, row_cols
+from oracles import check_csr, csr_first_unsorted_row, csr_pairs, dense_bool_product, dense_matmul, row_cols
 
 
 def random_csr(rng: np.random.Generator, n_rows: int, n_cols: int, density: float = 0.2):
