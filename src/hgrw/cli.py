@@ -230,7 +230,8 @@ def build_parser() -> _Parser:
     p.add_argument("--edge-budget", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--block-size", type=int)
+    p.add_argument("--block-size", type=int,
+                   help="rows per candidate score tile (default: max(1, 2^20 // target nodes))")
     p.add_argument("--two-hop-only", dest="restrict_two_hop", action="store_true",
                    help="restrict candidates to two-hop neighborhoods of the subgraph")
     p.set_defaults(func=_cmd_rewire)

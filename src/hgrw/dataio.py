@@ -313,6 +313,8 @@ def load_graph(directory: str) -> HeteroGraph:
     node_types, features = [], []
     name_to_id: dict[str, int] = {}
     for i, row in enumerate(manifest["node_types"]):
+        if row["name"] in name_to_id:  # relation endpoints resolve through the name
+            raise DataError(f"{directory}: invalid dataset: duplicate node type names")
         node_types.append(
             NodeType(type_id=i, name=row["name"], node_count=row["count"], feature_dim=row["feature_dim"])
         )

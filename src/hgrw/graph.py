@@ -76,19 +76,15 @@ def validate_graph(g: HeteroGraph) -> list[str]:
     """The problems of a graph that ``load_graph`` built, one message each:
     the facts a dataset's files can get wrong past its reading checks. The
     ids, shapes, split codes and canonical adjacency are built by loading
-    itself and are not checked again.
+    itself, and a repeated node type name stops loading, so none is checked
+    here.
 
     Reports rather than raises so callers can surface all problems at once.
     """
     bad: list[str] = []
-    names = [t.name for t in g.schema.node_types]
-    if len(set(names)) != len(names):
-        bad.append("duplicate node type names")
     rnames = [r.name for r in g.schema.relations]
     if len(set(rnames)) != len(rnames):
-        bad.append("duplicate relation names")
-    if bad:
-        return bad
+        return ["duplicate relation names"]
     if g.num_classes < 1:
         bad.append(f"num_classes {g.num_classes} < 1")
 

@@ -2,11 +2,13 @@
 
 Per target node, up to ``edge_budget`` new neighbors with similarity above
 ``epsilon`` are proposed; existing edges scoring below ``gamma`` are pruned.
-Additions and removals apply symmetrically. Candidate scoring scans node
-blocks through reused buffers: memory stays at one block_size x n_target
-score buffer (two when the model has several hops) plus, under
-restrict_two_hop, one boolean block mask and one block's rows of the
-two-hop reach.
+Additions and removals apply symmetrically. Every temporary that grows with
+the node or edge count fits in one tile of TILE float64 values: candidate
+scoring scans tiles of max(1, TILE // n_target) rows (``block_size`` rows
+when set) through one reused score buffer (two when the model has several
+hops), under restrict_two_hop masking each tile to its rows' two-hop reach
+in place, and the scores of existing pairs are computed in chunks of
+TILE // d pairs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .metapath import REWIRED_PREFIX, MetaPath, MetaPathSubgraph, path_label
 from .sparse import bool_csr
 
 GROUPS = 64  # column groups per score row for the top-k lower bound
+TILE = 1 << 20  # float64 values (8 MiB) in the largest scan or pair-score temporary
 
 
 @dataclass(frozen=True)
@@ -32,13 +35,13 @@ class RewireConfig:
     edge_budget: int = 6
     epsilon: float = 0.6
     gamma: float = -1.0
-    block_size: int = 512
+    block_size: int | None = None  # rows per scan tile; None: max(1, TILE // n_target)
     restrict_two_hop: bool = False
 
     def __post_init__(self):
         if self.edge_budget < 0:
             raise ValueError("edge_budget must be >= 0")
-        if self.block_size < 1:
+        if self.block_size is not None and self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         if math.isnan(self.epsilon) or math.isnan(self.gamma):
             raise ValueError("epsilon and gamma must not be NaN")
@@ -119,12 +122,13 @@ def score_candidates(
     # transposes of copies: a block spanning every row would otherwise share
     # its buffer with the transpose, and numpy rounds u @ u.T differently
     units_t = [u.copy().T for u in units]
-    block = min(cfg.block_size, n)
+    block = min(cfg.block_size or max(1, TILE // n), n)
     sim_buf = np.empty((block, n))
     hop_buf = np.empty_like(sim_buf) if len(units) > 1 else None
     if cfg.restrict_two_hop:
+        # the pattern of blk @ (adj + I) is the one- and two-hop reach blk + blk @ adj
         adj = sub.adjacency
-        blocked_buf = np.empty((block, n), dtype=bool)
+        step = adj + bool_csr(np.arange(n), np.arange(n), (n, n))
     floor = float(np.nextafter(cfg.epsilon, np.inf))
 
     parts = []
@@ -139,12 +143,12 @@ def score_candidates(
             sim *= hop
         sim[local, local + start] = -np.inf  # self pairs never qualify, whatever epsilon
         if cfg.restrict_two_hop:
-            blk = adj[start:stop]
-            reach = (blk + blk @ adj).tocsr()
-            blocked = blocked_buf[: stop - start]
-            blocked.fill(True)
-            blocked[np.repeat(local, np.diff(reach.indptr)), reach.indices] = False
-            np.copyto(sim, -np.inf, where=blocked)
+            # sim is a leading-rows slice of sim_buf, so reshape(-1) is a view
+            reach = adj[start:stop] @ step
+            flat = np.repeat(local * n, np.diff(reach.indptr)) + reach.indices
+            kept = sim.reshape(-1)[flat]
+            sim.fill(-np.inf)
+            sim.reshape(-1)[flat] = kept
         rows, cols, vals = _block_top_k(sim, k, floor)
         parts.append((rows + start, cols, vals))
 
@@ -153,10 +157,15 @@ def score_candidates(
 
 
 def _pair_scores(m: SimilarityModel, path: MetaPath, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The model's score of each pair (a[i], b[i]), gathering at most TILE
+    values of unit rows per operand at a time."""
     reps = _path_reps(m, path)
     out = np.ones(len(a))
-    for rep in reps:
-        out *= np.einsum("ij,ij->i", rep.units[a], rep.units[b])
+    chunk = max(1, TILE // max(rep.units.shape[1] for rep in reps))
+    for lo in range(0, len(a), chunk):
+        part, ia, ib = out[lo : lo + chunk], a[lo : lo + chunk], b[lo : lo + chunk]
+        for rep in reps:
+            part *= np.einsum("ij,ij->i", rep.units[ia], rep.units[ib])
     return out
 
 

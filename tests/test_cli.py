@@ -232,9 +232,19 @@ def venue_dataset(tmp_path_factory):
     return d
 
 
+def _later_type_named_as_target(manifest):
+    """The target type moved first and the venue type, now after it, renamed
+    to the target's name: the relations' endpoints name both types."""
+    venue, paper = manifest["node_types"]
+    manifest["node_types"] = [paper, {**venue, "name": "paper"}]
+    return manifest
+
+
 CONTENT_FAULTS = {
     "node type renamed to another's": (_manifest_edit("node_types", 0, "name", value="paper"),
                                        "duplicate node type names"),
+    "later node type renamed to the target's": (_later_type_named_as_target,
+                                                "duplicate node type names"),
     "relation renamed to another's": (_manifest_edit("relations", 1, "name", value="cites"),
                                       "duplicate relation names"),
     "no class": (_manifest_edit("num_classes", value=0), "num_classes 0 < 1"),

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hgrw.errors import DataError
 from hgrw.learner import LearnerConfig, SimilarityModel, read_checkpoint
 from hgrw.metapath import MetaPath, MetaPathSubgraph, compose_metapath, path_homophily, path_label
 from hgrw.rewire import (
+    TILE,
     CandidateSet,
     RewireConfig,
     RewirePlan,
@@ -25,10 +27,11 @@ from hgrw.rewire import (
     save_plan_tsv,
     score_candidates,
 )
+from hgrw.sparse import bool_csr
 from hgrw.synth import SynthConfig, synth_generate
 from hgrw.targets import TargetsConfig, similarity_targets
 
-from conftest import make_graph, same_structure
+from conftest import make_graph, same_structure, symmetric_edges
 from oracles import (
     csr_pairs,
     dfs_compose_pairs,
@@ -110,6 +113,62 @@ class TestScoreCandidates:
         for i in range(12):
             for j in node_candidates(cands, i)[0]:
                 assert reach[i, j]
+
+    @pytest.mark.parametrize("n", [23, 1024, 1500])
+    def test_default_tile_rows(self, n):
+        # one tile up to 1024 targets, TILE // n rows of the scores beyond
+        g, path, model = small_model(n=n, seed=6)
+        sub = compose_metapath(g, path)
+        for two_hop in (False, True):
+            cfg = RewireConfig(epsilon=0.0, restrict_two_hop=two_hop)
+            rows = n if n <= 1024 else TILE // n
+            want = score_candidates(model, path, dataclasses.replace(cfg, block_size=rows), sub=sub)
+            got = score_candidates(model, path, cfg, sub=sub)
+            for a, b in zip(dataclasses.astuple(got), dataclasses.astuple(want)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def random_instance(n: int, seed: int = 0):
+    """An untrained one-path model over n targets joined at random, mean degree 4."""
+    rng = np.random.default_rng(seed)
+    pairs = list(zip(rng.integers(0, n, 2 * n).tolist(), rng.integers(0, n, 2 * n).tolist()))
+    g = make_graph({"n": n}, [("r", "n", "n", symmetric_edges(pairs))], "n",
+                   labels=rng.integers(0, 2, n).tolist(), num_classes=2)
+    path = MetaPath((0,))
+    return g, path, SimilarityModel(g, [path], LearnerConfig(seed=seed))
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("two_hop", [False, True])
+def test_default_scan_memory_is_set_by_the_tile(two_hop):
+    """The default scan over 8,000 targets holds one tile of TILE scores
+    (8 MiB); a 512-row tile would take 33 MB."""
+    g, path, model = random_instance(8_000)
+    sub = compose_metapath(g, path)
+    peak = traced_peak(score_candidates, model, path, RewireConfig(restrict_two_hop=two_hop), sub)
+    assert peak < 2 * TILE * 8
+
+
+def test_pruning_memory_is_set_by_the_tile():
+    """Scoring over 200,000 existing pairs gathers their unit rows a chunk at
+    a time: two pairs x d copies would take 111 MB."""
+    n = 4_000
+    g, path, model = random_instance(n)
+    i, j = np.random.default_rng(1).integers(0, n, (2, 220_000))
+    sub = MetaPathSubgraph(path, bool_csr(np.concatenate([i, j]), np.concatenate([j, i]), (n, n)))
+    pairs = (sub.adjacency.nnz - sub.adjacency.diagonal().sum()) // 2
+    assert pairs >= 200_000
+    nothing = CandidateSet(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+    peak = traced_peak(rewire_metapath, sub, nothing, model, RewireConfig(gamma=0.0))
+    assert peak < pairs * model.cfg.hidden_dim * 8
 
 
 class TestRewireMetapath:
