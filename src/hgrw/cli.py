@@ -231,7 +231,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--block-size", type=int,
-                   help="rows per candidate score tile (default: max(1, 2^20 // target nodes))")
+                   help="rows per float32 candidate score tile (default: max(1, 2^21 // target "
+                        "nodes)); plan scores are float64 per pair, so the output does not depend on it")
     p.add_argument("--two-hop-only", dest="restrict_two_hop", action="store_true",
                    help="restrict candidates to two-hop neighborhoods of the subgraph")
     p.set_defaults(func=_cmd_rewire)

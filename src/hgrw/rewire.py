@@ -2,13 +2,14 @@
 
 Per target node, up to ``edge_budget`` new neighbors with similarity above
 ``epsilon`` are proposed; existing edges scoring below ``gamma`` are pruned.
-Additions and removals apply symmetrically. Every temporary that grows with
-the node or edge count fits in one tile of TILE float64 values: candidate
-scoring scans tiles of max(1, TILE // n_target) rows (``block_size`` rows
-when set) through one reused score buffer (two when the model has several
-hops), under restrict_two_hop masking each tile to its rows' two-hop reach
-in place, and the scores of existing pairs are computed in chunks of
-TILE // d pairs.
+Additions and removals apply symmetrically. Every plan score is one pair's
+float64 product of unit-row dots (``_pair_scores``), whatever tile found it.
+The candidate scan keeps, from float32 score tiles of max(1, 2 * TILE // n)
+rows (``block_size`` rows when set), every entry that can be among its row's
+best within a slack of about hops * (width + 4) * 2^-23, and ranks only those
+in float64. Under restrict_two_hop a tile is masked to its rows' two-hop
+reach in place, and existing pairs are scored in chunks of TILE // width
+pairs, so no temporary that grows with the node or edge count outgrows 8 MiB.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .metapath import REWIRED_PREFIX, MetaPath, MetaPathSubgraph, path_label
 from .sparse import bool_csr
 
 GROUPS = 64  # column groups per score row for the top-k lower bound
-TILE = 1 << 20  # float64 values (8 MiB) in the largest scan or pair-score temporary
+TILE = 1 << 20  # float64 values (8 MiB) in a pair-score gather; a float32 scan tile holds twice as many
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class RewireConfig:
     edge_budget: int = 6
     epsilon: float = 0.6
     gamma: float = -1.0
-    block_size: int | None = None  # rows per scan tile; None: max(1, TILE // n_target)
+    block_size: int | None = None  # rows per scan tile; None: max(1, 2 * TILE // n_target)
     restrict_two_hop: bool = False
 
     def __post_init__(self):
@@ -68,33 +69,38 @@ class RewirePlan:
         return not self.additions and not self.removals
 
 
-def _block_top_k(sim: np.ndarray, k: int, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and score of each row's k best entries at or above
-    ``floor``, ordered by (row, -score, column).
-
-    At least k entries reach the k-th largest maximum of GROUPS equal column
-    groups, so only groups reaching it are searched, plus the columns past
-    the last whole group.
-    """
+def _block_superset(sim: np.ndarray, k: int, floor: float, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each entry of a float32 score tile whose float64
+    score, within ``slack`` of it, can be among its row's k best at or above
+    ``floor``. At least k entries reach the k-th largest maximum of GROUPS
+    equal column groups, so only groups reaching it less 2 * slack are
+    searched, plus the columns past the last whole group. The bound is
+    finite, so the -inf entries of self and masked pairs never pass it."""
     b, n = sim.shape
     span = n - n % GROUPS if k <= GROUPS else 0
-    bound = np.full(b, floor)
+    bound = np.full(b, floor - slack)  # finite: floor is above -inf
     found = []
     if span:
         grouped = sim[:, :span].reshape(b, GROUPS, -1)
         group_max = grouped.max(axis=2)
-        np.maximum(bound, np.partition(group_max, GROUPS - k, axis=1)[:, GROUPS - k], out=bound)
+        kth = np.partition(group_max, GROUPS - k, axis=1)[:, GROUPS - k].astype(np.float64)
+        np.maximum(bound, kth - 2 * slack, out=bound)
         g_rows, g_ids = np.nonzero(group_max >= bound[:, None])
-        picked = grouped[g_rows, g_ids]
-        hit, offset = np.nonzero(picked >= bound[g_rows, None])
-        found.append((g_rows[hit], g_ids[hit] * grouped.shape[2] + offset))
-    t_rows, t_cols = np.nonzero(sim[:, span:] >= bound[:, None])
+        width = grouped.shape[2]
+        # flat indices: np.nonzero is several times slower on a large 2-d mask
+        hit, offset = np.divmod(np.flatnonzero(grouped[g_rows, g_ids] >= bound[g_rows, None]), width)
+        found.append((g_rows[hit], g_ids[hit] * width + offset))
+    t_rows, t_cols = np.divmod(np.flatnonzero(sim[:, span:] >= bound[:, None]), max(n - span, 1))
     found.append((t_rows, t_cols + span))
-    rows, cols = (np.concatenate(f) for f in zip(*found))
-    vals = sim[rows, cols]
+    return tuple(np.concatenate(f) for f in zip(*found))
+
+
+def _first_k(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, k: int, floor: float) -> tuple:
+    """Each row's first k entries at or above ``floor`` in (row, -score, column) order."""
     order = np.lexsort((cols, -vals, rows))
+    order = order[vals[order] >= floor]
     rows, cols, vals = rows[order], cols[order], vals[order]
-    counts = np.bincount(rows, minlength=b)
+    counts = np.bincount(rows)
     keep = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts) < k
     return rows[keep], cols[keep], vals[keep]
 
@@ -119,11 +125,13 @@ def score_candidates(
         raise ValueError("restrict_two_hop needs the meta-path subgraph")
 
     units = [rep.units for rep in _path_reps(m, path)]
-    # transposes of copies: a block spanning every row would otherwise share
-    # its buffer with the transpose, and numpy rounds u @ u.T differently
-    units_t = [u.copy().T for u in units]
-    block = min(cfg.block_size or max(1, TILE // n), n)
-    sim_buf = np.empty((block, n))
+    units32 = [u.astype(np.float32) for u in units]
+    # For unit rows of width w, |fl(a.b) - a.b| <= gamma_w sum|a_i b_i| <= w 2^-24 in
+    # float32 (Higham 2002, 3.1); the two casts and each hop's product add 3 * 2^-24, so
+    # a tile entry is within sum_h (w_h + 3) 2^-24 of its float64 score: slack doubles it
+    slack = sum(u.shape[1] + 4 for u in units) * 2.0**-23
+    block = min(cfg.block_size or max(1, 2 * TILE // n), n)
+    sim_buf = np.empty((block, n), dtype=np.float32)
     hop_buf = np.empty_like(sim_buf) if len(units) > 1 else None
     if cfg.restrict_two_hop:
         # the pattern of blk @ (adj + I) is the one- and two-hop reach blk + blk @ adj
@@ -136,10 +144,10 @@ def score_candidates(
         stop = min(start + block, n)
         local = np.arange(stop - start)
         sim = sim_buf[: stop - start]
-        np.matmul(units[0][start:stop], units_t[0], out=sim)
-        for u, u_t in zip(units[1:], units_t[1:]):
+        np.matmul(units32[0][start:stop], units32[0].T, out=sim)
+        for u in units32[1:]:
             hop = hop_buf[: stop - start]
-            np.matmul(u[start:stop], u_t, out=hop)
+            np.matmul(u[start:stop], u.T, out=hop)
             sim *= hop
         sim[local, local + start] = -np.inf  # self pairs never qualify, whatever epsilon
         if cfg.restrict_two_hop:
@@ -149,23 +157,24 @@ def score_candidates(
             kept = sim.reshape(-1)[flat]
             sim.fill(-np.inf)
             sim.reshape(-1)[flat] = kept
-        rows, cols, vals = _block_top_k(sim, k, floor)
-        parts.append((rows + start, cols, vals))
+        rows, cols = _block_superset(sim, k, floor, slack)
+        rows += start
+        parts.append(_first_k(rows, cols, _pair_scores(units, rows, cols), k, floor))
 
     # blocks run in row order, so the concatenation keeps the set's order
     return CandidateSet(*(np.concatenate(p) for p in zip(*parts)))
 
 
-def _pair_scores(m: SimilarityModel, path: MetaPath, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The model's score of each pair (a[i], b[i]), gathering at most TILE
-    values of unit rows per operand at a time."""
-    reps = _path_reps(m, path)
+def _pair_scores(units: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The score of each pair (a[i], b[i]): the product over hops of the dots
+    of its unit rows, gathering at most TILE values per operand at a time. A
+    pair's score depends on its two rows only."""
     out = np.ones(len(a))
-    chunk = max(1, TILE // max(rep.units.shape[1] for rep in reps))
+    chunk = max(1, TILE // max(u.shape[1] for u in units))
     for lo in range(0, len(a), chunk):
         part, ia, ib = out[lo : lo + chunk], a[lo : lo + chunk], b[lo : lo + chunk]
-        for rep in reps:
-            part *= np.einsum("ij,ij->i", rep.units[ia], rep.units[ib])
+        for u in units:
+            part *= np.einsum("ij,ij->i", u[ia], u[ib])
     return out
 
 
@@ -198,7 +207,7 @@ def rewire_metapath(
     low = np.zeros(existing.size, dtype=bool)
     if existing.size and cfg.gamma > -1.0:
         lo, hi = np.divmod(existing, n)
-        pair_scores = _pair_scores(m, sub.path, lo, hi)
+        pair_scores = _pair_scores([rep.units for rep in _path_reps(m, sub.path)], lo, hi)
         low = pair_scores < cfg.gamma
         plan.removals = list(zip(lo[low].tolist(), hi[low].tolist(), pair_scores[low].tolist()))
 

@@ -373,41 +373,43 @@ def model_similarity(m: SimilarityModel, path: MetaPath, i: int, j: int) -> floa
     return out
 
 
+def pair_scores(m: SimilarityModel, path: MetaPath, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The model's float64 score of each pair (a[i], b[i]): the product over
+    hops of the rowwise dots of the two unit rows."""
+    out = np.ones(len(a))
+    for rep in _path_reps(m, path):
+        out *= np.einsum("ij,ij->i", rep.units[a], rep.units[b])
+    return out
+
+
 def scan_candidates_per_row(
     m: SimilarityModel,
     path: MetaPath,
     edge_budget: int,
     epsilon: float,
-    block_size: int,
     sub: MetaPathSubgraph | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Candidate scan one row at a time: score blocks as ``units[rows] @
-    units.T`` products, mask self pairs (and, given ``sub``, everything
+    """Candidate scan one row at a time: score the row against every node
+    with ``pair_scores``, mask the self pair (and, given ``sub``, everything
     beyond two hops) to -inf, then sort every entry above epsilon by
     (-score, index) and keep edge_budget of them. Returns per-row index and
     score arrays."""
     n = m.graph.target_count
     if edge_budget == 0:
         return [np.zeros(0, dtype=np.int64)] * n, [np.zeros(0)] * n
-    reps = _path_reps(m, path)
     if sub is not None:
         adj = sub.adjacency.toarray()
         reach = adj | ((adj.astype(np.int64) @ adj.astype(np.int64)) > 0)
     indices, scores = [], []
-    for start in range(0, n, block_size):
-        rows = np.arange(start, min(start + block_size, n))
-        sim = np.ones((len(rows), n))
-        for rep in reps:
-            sim *= rep.units[rows] @ rep.units.T
-        sim[np.arange(len(rows)), rows] = -np.inf
+    for i in range(n):
+        row = pair_scores(m, path, np.full(n, i), np.arange(n))
+        row[i] = -np.inf
         if sub is not None:
-            sim[~reach[rows]] = -np.inf
-        for local in range(len(rows)):
-            row = sim[local]
-            eligible = np.flatnonzero(row > epsilon)
-            eligible = eligible[np.lexsort((eligible, -row[eligible]))][:edge_budget]
-            indices.append(eligible.astype(np.int64))
-            scores.append(row[eligible])
+            row[~reach[i]] = -np.inf
+        eligible = np.flatnonzero(row > epsilon)
+        eligible = eligible[np.lexsort((eligible, -row[eligible]))][:edge_budget]
+        indices.append(eligible.astype(np.int64))
+        scores.append(row[eligible])
     return indices, scores
 
 
@@ -435,10 +437,8 @@ def rewire_with_sets(
     removals, removed = [], set()
     if existing and gamma > -1.0:
         pairs = np.array(sorted(existing), dtype=np.int64)
-        pair_scores = np.ones(len(pairs))
-        for rep in _path_reps(m, sub.path):
-            pair_scores *= np.einsum("ij,ij->i", rep.units[pairs[:, 0]], rep.units[pairs[:, 1]])
-        for (i, j), score in zip(pairs.tolist(), pair_scores.tolist()):
+        existing_scores = pair_scores(m, sub.path, pairs[:, 0], pairs[:, 1])
+        for (i, j), score in zip(pairs.tolist(), existing_scores.tolist()):
             if score < gamma:
                 removals.append((i, j, score))
                 removed.add((i, j))

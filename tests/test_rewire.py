@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,13 +15,14 @@ import hgrw
 from hgrw.cli import main
 from hgrw.dataio import load_graph
 from hgrw.errors import DataError
-from hgrw.learner import LearnerConfig, SimilarityModel, read_checkpoint
+from hgrw.learner import LearnerConfig, SimilarityModel, _path_reps, read_checkpoint
 from hgrw.metapath import MetaPath, MetaPathSubgraph, compose_metapath, path_homophily, path_label
 from hgrw.rewire import (
     TILE,
     CandidateSet,
     RewireConfig,
     RewirePlan,
+    _pair_scores,
     merge_into_graph,
     plan_tsv_text,
     rewire_metapath,
@@ -114,14 +116,14 @@ class TestScoreCandidates:
             for j in node_candidates(cands, i)[0]:
                 assert reach[i, j]
 
-    @pytest.mark.parametrize("n", [23, 1024, 1500])
+    @pytest.mark.parametrize("n", [23, 2048, 2500])
     def test_default_tile_rows(self, n):
-        # one tile up to 1024 targets, TILE // n rows of the scores beyond
+        # one tile up to 2048 targets, 2 * TILE // n rows of the float32 scores beyond
         g, path, model = small_model(n=n, seed=6)
         sub = compose_metapath(g, path)
         for two_hop in (False, True):
             cfg = RewireConfig(epsilon=0.0, restrict_two_hop=two_hop)
-            rows = n if n <= 1024 else TILE // n
+            rows = n if n <= 2048 else 2 * TILE // n
             want = score_candidates(model, path, dataclasses.replace(cfg, block_size=rows), sub=sub)
             got = score_candidates(model, path, cfg, sub=sub)
             for a, b in zip(dataclasses.astuple(got), dataclasses.astuple(want)):
@@ -399,9 +401,7 @@ def test_scan_and_apply_match_per_row_and_set_oracles(
                        block_size=block_size or n, restrict_two_hop=two_hop)
 
     cands = score_candidates(model, path, cfg, sub=sub)
-    want_idx, want_scores = scan_candidates_per_row(
-        model, path, budget, epsilon, cfg.block_size, sub=sub if two_hop else None
-    )
+    want_idx, want_scores = scan_candidates_per_row(model, path, budget, epsilon, sub=sub if two_hop else None)
     assert np.all((cands.sources >= 0) & (cands.sources < n))
     want_sources = np.repeat(np.arange(n), [idx.size for idx in want_idx])
     for got, want in zip(
@@ -417,6 +417,107 @@ def test_scan_and_apply_match_per_row_and_set_oracles(
     assert plan.removals == want_del
     assert same_structure(rewired.adjacency, rewired.adjacency.T.tocsr())
     assert same_structure(rewired.adjacency, want_adj)
+
+
+def concat_or_plain_model(g, path: MetaPath, num_hops: int, concat: bool, seed: int = 0) -> SimilarityModel:
+    cfg = LearnerConfig(hidden_dim=4, num_hops=num_hops, seed=seed, concat_distribution_features=concat)
+    tcfg = TargetsConfig(num_hops=num_hops)
+    dist = [similarity_targets(compose_metapath(g, path), g, tcfg)[0]] if concat else None
+    return SimilarityModel(g, [path], cfg, dist_features=dist)
+
+
+@pytest.mark.parametrize("num_hops,concat", [(1, False), (2, False), (2, True)])
+def test_pair_scores_match_the_per_pair_oracle(num_hops, concat):
+    g = twin_graph(np.random.default_rng(8), 30)
+    path = MetaPath((1, 2))
+    model = concat_or_plain_model(g, path, num_hops, concat)
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(30), np.arange(30)))
+    got = _pair_scores([rep.units for rep in _path_reps(model, path)], a, b)
+    want = [model_similarity(model, path, i, j) for i, j in zip(a.tolist(), b.tolist())]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def near_twin_model(num_hops: int, concat: bool, groups: int = 24, size: int = 6):
+    """Targets in groups of ``size`` that share features and neighbors; each
+    target also has a private auxiliary neighbor whose one feature is 1 plus
+    0 to 7 float32 ulps. The private neighbor is one of about 40 averaged
+    into the first hop, so two targets of a group score against a third node
+    about 1e-9 apart: equal in float32, ordered in float64."""
+    rng = np.random.default_rng(0)
+    n = groups * size
+    linked = [(a, b) for a in range(groups) for b in range(groups) if a != b and rng.random() < 0.3]
+    edges = [(a * size + x, b * size + y) for a, b in linked for x in range(size) for y in range(size)]
+    own = [(i, i) for i in range(n)]
+    g = make_graph(
+        {"n": n, "a": n},
+        [("r", "n", "n", edges), ("own", "n", "a", own), ("back", "a", "n", own)],
+        "n",
+        labels=rng.integers(0, 2, n).tolist(),
+        num_classes=2,
+        features={"n": np.repeat(rng.standard_normal((groups, 3)), size, axis=0),
+                  "a": 1.0 + rng.integers(0, 8, (n, 1)) * 2.0**-23},
+    )
+    path = MetaPath((0,))
+    return g, path, concat_or_plain_model(g, path, num_hops, concat)
+
+
+@pytest.mark.parametrize("num_hops,concat", [(1, False), (2, False), (1, True)])
+@pytest.mark.parametrize("budget", [3, 8, 70])
+def test_float32_near_ties_rank_as_in_float64(num_hops, concat, budget):
+    g, path, model = near_twin_model(num_hops, concat)
+    n = g.target_count
+    cands = score_candidates(model, path, RewireConfig(edge_budget=budget, epsilon=-2.0))
+    want_idx, want_scores = scan_candidates_per_row(model, path, budget, -2.0)
+    assert np.array_equal(cands.sources, np.repeat(np.arange(n), [idx.size for idx in want_idx]))
+    assert np.array_equal(cands.partners, np.concatenate(want_idx))
+    assert np.array_equal(cands.scores, np.concatenate(want_scores))
+    # the fixture bites: float32 scores would pick other partners
+    sim32 = np.ones((n, n), dtype=np.float32)
+    for rep in _path_reps(model, path):
+        u = rep.units.astype(np.float32)
+        sim32 *= u @ u.T
+    np.fill_diagonal(sim32, -np.inf)
+    top32 = np.argsort(-sim32, axis=1, kind="stable")[:, :budget]
+    assert any(set(row.tolist()) != set(idx.tolist()) for row, idx in zip(top32, want_idx))
+
+
+@pytest.mark.parametrize("epsilon", [-np.inf, -1e39])
+@pytest.mark.parametrize("two_hop", [False, True])
+def test_unbounded_epsilon_keeps_self_and_masked_pairs_out(epsilon, two_hop):
+    rng = np.random.default_rng(5)
+    g = twin_graph(rng, 140)
+    path = MetaPath((1, 2))
+    model = SimilarityModel(g, [path], LearnerConfig(hidden_dim=4, num_hops=2, seed=5))
+    sub = compose_metapath(g, path)
+    cfg = RewireConfig(edge_budget=5, epsilon=epsilon, gamma=0.0, restrict_two_hop=two_hop)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cands = score_candidates(model, path, cfg, sub=sub)
+        rewire_metapath(sub, cands, model, cfg)
+    assert np.all(cands.sources != cands.partners)
+    if two_hop:
+        adj = sub.adjacency.toarray().astype(np.int64)
+        assert np.all(((adj + adj @ adj) > 0)[cands.sources, cands.partners])
+    want_idx, want_scores = scan_candidates_per_row(model, path, 5, epsilon, sub=sub if two_hop else None)
+    assert np.array_equal(cands.partners, np.concatenate(want_idx))
+    assert np.array_equal(cands.scores, np.concatenate(want_scores))
+
+
+def test_plan_bytes_do_not_depend_on_the_tile_rows(tmp_path):
+    ds, model = str(tmp_path / "ds"), str(tmp_path / "m.msl")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", ds, "--target-nodes", "90", "--aux-size", "20", "--p-aux", "0.2",
+                     "--seed", "2"]) == 0
+        assert main(["train", ds, "--out", model, "--num-hops", "2", "--concat-dist", "--max-path-len", "2",
+                     "--epochs-attr", "3", "--epochs-label", "1", "--seed", "2"]) == 0
+        for flags in ([], ["--two-hop-only", "--gamma", "0.0"]):
+            plans = set()
+            for tile in ([], ["--block-size", "1"], ["--block-size", "7"]):
+                out = str(tmp_path / "rw")
+                assert main(["rewire", ds, "--model", model, "--out", out, "--epsilon", "0.0", *flags, *tile]) == 0
+                with open(os.path.join(out, "rewire_plan.tsv"), "rb") as fh:
+                    plans.add(fh.read())
+            assert len(plans) == 1
 
 
 def read_plan(filename: str) -> dict[tuple[str, str, int, int], float]:
