@@ -116,7 +116,7 @@ class TestScoreCandidates:
             for j in node_candidates(cands, i)[0]:
                 assert reach[i, j]
 
-    @pytest.mark.parametrize("n", [23, 2048, 2500])
+    @pytest.mark.parametrize("n", [23, 1024, 1500, 2048, 2500])
     def test_default_tile_rows(self, n):
         # one tile up to 2048 targets, 2 * TILE // n rows of the float32 scores beyond
         g, path, model = small_model(n=n, seed=6)
