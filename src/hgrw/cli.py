@@ -113,8 +113,7 @@ def _cmd_rewire(args) -> int:
     plans, pairs, changed = [], [], []
     for path in model.paths:
         sub = compose_metapath(g, path)
-        cands = score_candidates(model, path, cfg, sub=sub)
-        rewired, plan = rewire_metapath(sub, cands, model, cfg)
+        rewired, plan = rewire_metapath(sub, score_candidates(model, path, cfg, sub=sub), cfg)
         plans.append(plan)
         pairs.append((sub, rewired))
         if not plan.empty:

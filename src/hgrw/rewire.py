@@ -8,8 +8,12 @@ The candidate scan keeps, from float32 score tiles of max(1, 2 * TILE // n)
 rows (``block_size`` rows when set), every entry that can be among its row's
 best within a slack of about hops * (width + 4) * 2^-23, and ranks only those
 in float64. Under restrict_two_hop a tile is masked to its rows' two-hop
-reach in place, and existing pairs are scored in chunks of TILE // width
-pairs, so no temporary that grows with the node or edge count outgrows 8 MiB.
+reach: a boolean tile is cleared at each edge i - j and along each walk
+i - j - c of the subgraph, WALKS walks at a time, and the entries left set
+become -inf. Existing pairs are scored in chunks of TILE // width pairs, so
+no temporary that grows with the node or edge count outgrows 8 MiB. Pair keys
+are sorted int64 arrays: numpy's hashed np.unique, np.isin and np.union1d are
+several times slower than a sort and searchsorted on them.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .sparse import bool_csr
 
 GROUPS = 64  # column groups per score row for the top-k lower bound
 TILE = 1 << 20  # float64 values (8 MiB) in a pair-score gather; a float32 scan tile holds twice as many
+WALKS = TILE // 32  # two-hop walks (40 bytes each), then mask entries, handled at a time
 
 
 @dataclass(frozen=True)
@@ -51,11 +56,13 @@ class RewireConfig:
 @dataclass(frozen=True)
 class CandidateSet:
     """Every node's top candidates as parallel flat arrays, ordered by
-    (source, -score, partner)."""
+    (source, -score, partner), with the path's unit rows that scored them.
+    Pruning scores existing pairs with the same rows."""
 
     sources: np.ndarray  # int64
     partners: np.ndarray  # int64
     scores: np.ndarray
+    units: list[np.ndarray]  # per hop, every target's unit row (float64)
 
 
 @dataclass
@@ -81,12 +88,13 @@ def _block_superset(sim: np.ndarray, k: int, floor: float, slack: float) -> tupl
     bound = np.full(b, floor - slack)  # finite: floor is above -inf
     found = []
     if span:
-        grouped = sim[:, :span].reshape(b, GROUPS, -1)
-        group_max = grouped.max(axis=2)
+        width = span // GROUPS
+        grouped = sim[:, :span].reshape(b, GROUPS, width)
+        # one pass over each row; grouped.max(axis=2) takes twice as long
+        group_max = np.maximum.reduceat(sim[:, :span], np.arange(0, span, width), axis=1)
         kth = np.partition(group_max, GROUPS - k, axis=1)[:, GROUPS - k].astype(np.float64)
         np.maximum(bound, kth - 2 * slack, out=bound)
         g_rows, g_ids = np.nonzero(group_max >= bound[:, None])
-        width = grouped.shape[2]
         # flat indices: np.nonzero is several times slower on a large 2-d mask
         hit, offset = np.divmod(np.flatnonzero(grouped[g_rows, g_ids] >= bound[g_rows, None]), width)
         found.append((g_rows[hit], g_ids[hit] * width + offset))
@@ -119,12 +127,12 @@ def score_candidates(
     """
     n = m.graph.target_count
     k = cfg.edge_budget
+    units = [rep.units for rep in _path_reps(m, path)]
     if k == 0 or n == 0:
-        return CandidateSet(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+        return CandidateSet(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), units)
     if cfg.restrict_two_hop and sub is None:
         raise ValueError("restrict_two_hop needs the meta-path subgraph")
 
-    units = [rep.units for rep in _path_reps(m, path)]
     units32 = [u.astype(np.float32) for u in units]
     # For unit rows of width w, |fl(a.b) - a.b| <= gamma_w sum|a_i b_i| <= w 2^-24 in
     # float32 (Higham 2002, 3.1); the two casts and each hop's product add 3 * 2^-24, so
@@ -134,9 +142,7 @@ def score_candidates(
     sim_buf = np.empty((block, n), dtype=np.float32)
     hop_buf = np.empty_like(sim_buf) if len(units) > 1 else None
     if cfg.restrict_two_hop:
-        # the pattern of blk @ (adj + I) is the one- and two-hop reach blk + blk @ adj
-        adj = sub.adjacency
-        step = adj + bool_csr(np.arange(n), np.arange(n), (n, n))
+        far_buf = np.empty((block, n), dtype=bool)
     floor = float(np.nextafter(cfg.epsilon, np.inf))
 
     parts = []
@@ -151,18 +157,45 @@ def score_candidates(
             sim *= hop
         sim[local, local + start] = -np.inf  # self pairs never qualify, whatever epsilon
         if cfg.restrict_two_hop:
-            # sim is a leading-rows slice of sim_buf, so reshape(-1) is a view
-            reach = adj[start:stop] @ step
-            flat = np.repeat(local * n, np.diff(reach.indptr)) + reach.indices
-            kept = sim.reshape(-1)[flat]
-            sim.fill(-np.inf)
-            sim.reshape(-1)[flat] = kept
+            _mask_beyond_two_hops(sim, far_buf[: stop - start], start, sub.adjacency)
         rows, cols = _block_superset(sim, k, floor, slack)
         rows += start
         parts.append(_first_k(rows, cols, _pair_scores(units, rows, cols), k, floor))
 
     # blocks run in row order, so the concatenation keeps the set's order
-    return CandidateSet(*(np.concatenate(p) for p in zip(*parts)))
+    return CandidateSet(*(np.concatenate(p) for p in zip(*parts)), units)
+
+
+def _mask_beyond_two_hops(sim: np.ndarray, far: np.ndarray, start: int, adj) -> None:
+    """Set -inf in the score tile ``sim`` of the rows from ``start`` at every
+    partner more than two hops away in adj. The mask ``far`` is set, then
+    cleared at j for each entry (i, j) and at c for each walk i -> j -> c,
+    WALKS walks at a time; a partner reached twice is cleared twice."""
+    b, n = far.shape
+    flat = far.reshape(-1)  # a leading-rows slice of a C-ordered buffer: a view
+    flat.fill(True)
+    lo, hi = adj.indptr[start], adj.indptr[start + b]
+    mids = adj.indices[lo:hi]
+    offsets = np.repeat(np.arange(b) * n, np.diff(adj.indptr[start : start + b + 1]))
+    flat[offsets + mids] = False
+    # walks ptr[e]:ptr[e + 1] run through the tile's entry e: walk w ends at
+    # column w - ptr[e] of row mids[e]
+    ptr = np.concatenate([[0], np.cumsum(np.diff(adj.indptr)[mids])])
+    walks = int(ptr[-1])
+    for w0 in range(0, walks, WALKS):
+        w1 = min(w0 + WALKS, walks)
+        e0 = int(np.searchsorted(ptr, w0, side="right")) - 1
+        e1 = int(np.searchsorted(ptr, w1 - 1, side="right"))
+        take = np.minimum(ptr[e0 + 1 : e1 + 1], w1) - np.maximum(ptr[e0:e1], w0)
+        pos = np.repeat(adj.indptr[mids[e0:e1]] - ptr[e0:e1], take) + np.arange(w0, w1)
+        flat[np.repeat(offsets[e0:e1], take) + adj.indices[pos]] = False
+    # a blend of the bits: np.copyto(sim, -np.inf, where=far) branches on each
+    # entry, and a mixed mask made it up to six times slower
+    bits, flags = sim.reshape(-1).view(np.int32), flat.view(np.int8)
+    neg_inf = np.float32(-np.inf).view(np.int32)
+    for at in range(0, bits.size, WALKS):
+        part = bits[at : at + WALKS]
+        part ^= (part ^ neg_inf) & np.negative(flags[at : at + WALKS], dtype=np.int32)
 
 
 def _pair_scores(units: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -178,14 +211,29 @@ def _pair_scores(units: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.nd
     return out
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """np.unique(keys), by one sort and a neighbour compare."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _in_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """np.isin(keys, table) for ``table`` sorted and without repeats."""
+    if not table.size:
+        return np.zeros(keys.shape, dtype=bool)
+    return table[np.minimum(np.searchsorted(table, keys), table.size - 1)] == keys
+
+
 def rewire_metapath(
     sub: MetaPathSubgraph,
     candidates: CandidateSet,
-    m: SimilarityModel,
     cfg: RewireConfig,
 ) -> tuple[MetaPathSubgraph, RewirePlan]:
     """Apply additions and prunes to one subgraph; returns the rewired
     subgraph (canonical, symmetric, diagonal-free) and the audit plan.
+    Existing pairs are scored with the candidates' unit rows.
 
     An undirected pair {i, j} with i < j is keyed as i * n + j, in int64
     whatever the index type of the adjacency.
@@ -194,11 +242,11 @@ def rewire_metapath(
     n = coo.shape[0]
     rows, cols = coo.row.astype(np.int64), coo.col.astype(np.int64)
     # a lone directed entry still counts as an existing undirected pair
-    existing = np.unique((np.minimum(rows, cols) * n + np.maximum(rows, cols))[rows != cols])
+    existing = _sorted_unique((np.minimum(rows, cols) * n + np.maximum(rows, cols))[rows != cols])
 
     src, dst, scores = candidates.sources, candidates.partners, candidates.scores
     keys = np.minimum(src, dst) * n + np.maximum(src, dst)
-    new = (src != dst) & ~np.isin(keys, existing)
+    new = (src != dst) & ~_in_sorted(keys, existing)
     plan = RewirePlan(
         path=sub.path,
         additions=list(zip(src[new].tolist(), dst[new].tolist(), scores[new].tolist())),
@@ -207,12 +255,12 @@ def rewire_metapath(
     low = np.zeros(existing.size, dtype=bool)
     if existing.size and cfg.gamma > -1.0:
         lo, hi = np.divmod(existing, n)
-        pair_scores = _pair_scores([rep.units for rep in _path_reps(m, sub.path)], lo, hi)
+        pair_scores = _pair_scores(candidates.units, lo, hi)
         low = pair_scores < cfg.gamma
         plan.removals = list(zip(lo[low].tolist(), hi[low].tolist(), pair_scores[low].tolist()))
 
     # both directions of every kept pair: the result is symmetric as built
-    lo, hi = np.divmod(np.union1d(existing[~low], keys[new]), n)
+    lo, hi = np.divmod(_sorted_unique(np.concatenate([existing[~low], keys[new]])), n)
     new_adj = bool_csr(np.concatenate([lo, hi]), np.concatenate([hi, lo]), (n, n))
     return MetaPathSubgraph(path=sub.path, adjacency=new_adj), plan
 

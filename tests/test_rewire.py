@@ -17,12 +17,15 @@ from hgrw.dataio import load_graph
 from hgrw.errors import DataError
 from hgrw.learner import LearnerConfig, SimilarityModel, _path_reps, read_checkpoint
 from hgrw.metapath import MetaPath, MetaPathSubgraph, compose_metapath, path_homophily, path_label
+from hgrw import rewire
 from hgrw.rewire import (
     TILE,
     CandidateSet,
     RewireConfig,
     RewirePlan,
+    _in_sorted,
     _pair_scores,
+    _sorted_unique,
     merge_into_graph,
     plan_tsv_text,
     rewire_metapath,
@@ -59,6 +62,11 @@ def node_candidates(cands, i):
     """Node i's partners and scores, in rank order."""
     at = cands.sources == i
     return cands.partners[at], cands.scores[at]
+
+
+def assert_same_candidates(got, want):
+    for a, b in ((got.sources, want.sources), (got.partners, want.partners), (got.scores, want.scores)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def dense_similarity(model, path, n):
@@ -117,17 +125,53 @@ class TestScoreCandidates:
                 assert reach[i, j]
 
     @pytest.mark.parametrize("n", [23, 1024, 1500, 2048, 2500])
-    def test_default_tile_rows(self, n):
-        # one tile up to 2048 targets, 2 * TILE // n rows of the float32 scores beyond
+    def test_default_tile_rows(self, n, monkeypatch):
+        # one tile while n * n <= 2 * TILE (up to 1448 targets), 2 * TILE // n rows beyond
         g, path, model = small_model(n=n, seed=6)
         sub = compose_metapath(g, path)
+        tiles, superset = [], rewire._block_superset
+
+        def counted(sim, *args):
+            tiles.append(sim.shape)
+            return superset(sim, *args)
+
+        monkeypatch.setattr(rewire, "_block_superset", counted)
+        rows = min(2 * TILE // n, n)
         for two_hop in (False, True):
             cfg = RewireConfig(epsilon=0.0, restrict_two_hop=two_hop)
-            rows = n if n <= 2048 else 2 * TILE // n
             want = score_candidates(model, path, dataclasses.replace(cfg, block_size=rows), sub=sub)
+            tiles.clear()
             got = score_candidates(model, path, cfg, sub=sub)
-            for a, b in zip(dataclasses.astuple(got), dataclasses.astuple(want)):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert tiles == [(min(rows, n - lo), n) for lo in range(0, n, rows)]
+            assert_same_candidates(got, want)
+
+    @pytest.mark.parametrize("walks", [1, 7])
+    @pytest.mark.parametrize("block_size", [None, 7])
+    def test_walk_chunks_do_not_change_the_candidates(self, walks, block_size, monkeypatch):
+        g = twin_graph(np.random.default_rng(3), 60)
+        path = MetaPath((1, 2))
+        model = SimilarityModel(g, [path], LearnerConfig(hidden_dim=4, seed=3))
+        sub = compose_metapath(g, path)
+        cfg = RewireConfig(edge_budget=8, epsilon=-2.0, block_size=block_size, restrict_two_hop=True)
+        want = score_candidates(model, path, cfg, sub=sub)
+        assert want.sources.size > 0
+        monkeypatch.setattr(rewire, "WALKS", walks)
+        assert_same_candidates(score_candidates(model, path, cfg, sub=sub), want)
+
+
+class TestSortedKeys:
+    @pytest.mark.parametrize("high", [1, 50, 2**31 + 5, 2**62])
+    @pytest.mark.parametrize("sizes", [(0, 0), (0, 40), (40, 0), (1, 1), (300, 200)])
+    def test_match_the_hashed_set_ops(self, high, sizes):
+        rng = np.random.default_rng(high + sizes[0])
+        a, b = (rng.integers(0, high, size, dtype=np.int64) + (high > 2**31) * 2**31 for size in sizes)
+        assert np.array_equal(_sorted_unique(a), np.unique(a))
+        assert _sorted_unique(a).dtype == np.unique(a).dtype
+        table = np.unique(b)
+        assert np.array_equal(_in_sorted(a, table), np.isin(a, table))
+        assert _in_sorted(a, table).dtype == bool
+        union = _sorted_unique(np.concatenate([a, b]))
+        assert np.array_equal(union, np.union1d(a, b)) and union.dtype == np.union1d(a, b).dtype
 
 
 def random_instance(n: int, seed: int = 0):
@@ -149,11 +193,30 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("two_hop", [False, True])
-def test_default_scan_memory_is_set_by_the_tile(two_hop):
-    """The default scan over 8,000 targets holds one tile of TILE scores
-    (8 MiB); a 512-row tile would take 33 MB."""
-    g, path, model = random_instance(8_000)
+def aux_instance(n: int, seed: int = 0):
+    """An untrained model of the path NAN over n targets, each joined to four
+    of n // 2 auxiliary nodes at random: NAN has degree about 32, and its
+    two-hop reach about a seventh of the targets."""
+    rng = np.random.default_rng(seed)
+    links = list(zip(np.repeat(np.arange(n), 4).tolist(), rng.integers(0, n // 2, 4 * n).tolist()))
+    g = make_graph({"n": n, "a": n // 2},
+                   [("na", "n", "a", links), ("an", "a", "n", [(a, i) for i, a in links])], "n",
+                   labels=rng.integers(0, 2, n).tolist(), num_classes=2)
+    path = MetaPath((0, 1))
+    return g, path, SimilarityModel(g, [path], LearnerConfig(seed=seed))
+
+
+@pytest.mark.parametrize("instance,two_hop", [
+    pytest.param(random_instance, False, id="False"),
+    pytest.param(random_instance, True, id="True"),
+    pytest.param(aux_instance, True, id="dense-reach"),
+])
+def test_default_scan_memory_is_set_by_the_tile(instance, two_hop):
+    """The default scan over 8,000 targets holds one float32 tile of
+    2 * TILE scores (8 MiB) and its two-hop mask of 2 MiB; a 512-row tile
+    would take 16 MiB. On the aux path a tile reaches about 300,000 partners:
+    a mask that kept them with their scores would pass the bound."""
+    g, path, model = instance(8_000)
     sub = compose_metapath(g, path)
     peak = traced_peak(score_candidates, model, path, RewireConfig(restrict_two_hop=two_hop), sub)
     assert peak < 2 * TILE * 8
@@ -168,8 +231,9 @@ def test_pruning_memory_is_set_by_the_tile():
     sub = MetaPathSubgraph(path, bool_csr(np.concatenate([i, j]), np.concatenate([j, i]), (n, n)))
     pairs = (sub.adjacency.nnz - sub.adjacency.diagonal().sum()) // 2
     assert pairs >= 200_000
-    nothing = CandidateSet(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-    peak = traced_peak(rewire_metapath, sub, nothing, model, RewireConfig(gamma=0.0))
+    units = [rep.units for rep in _path_reps(model, path)]
+    nothing = CandidateSet(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), units)
+    peak = traced_peak(rewire_metapath, sub, nothing, RewireConfig(gamma=0.0))
     assert peak < pairs * model.cfg.hidden_dim * 8
 
 
@@ -178,7 +242,7 @@ class TestRewireMetapath:
         g, path, model = small_model(n=10, seed=2)
         sub = compose_metapath(g, path)
         cfg = RewireConfig(edge_budget=0, epsilon=0.6, gamma=-1.0)
-        rewired, plan = rewire_metapath(sub, score_candidates(model, path, cfg), model, cfg)
+        rewired, plan = rewire_metapath(sub, score_candidates(model, path, cfg), cfg)
         assert plan.empty
         assert same_structure(rewired.adjacency, sub.adjacency)
 
@@ -186,7 +250,7 @@ class TestRewireMetapath:
         g, path, model = small_model(n=10, seed=2)
         sub = compose_metapath(g, path)
         cfg = RewireConfig(edge_budget=0, epsilon=0.6, gamma=1.01)
-        rewired, plan = rewire_metapath(sub, score_candidates(model, path, cfg), model, cfg)
+        rewired, plan = rewire_metapath(sub, score_candidates(model, path, cfg), cfg)
         assert rewired.adjacency.nnz == 0
         assert len(plan.removals) == sub.adjacency.nnz // 2
 
@@ -194,7 +258,7 @@ class TestRewireMetapath:
         g, path, model = small_model(n=15, seed=4)
         sub = compose_metapath(g, path)
         cfg = RewireConfig(edge_budget=3, epsilon=-2.0)
-        rewired, plan = rewire_metapath(sub, score_candidates(model, path, cfg), model, cfg)
+        rewired, plan = rewire_metapath(sub, score_candidates(model, path, cfg), cfg)
         before = csr_pairs(sub.adjacency)
         for i, j, score in plan.additions:
             assert i != j
@@ -208,7 +272,7 @@ class TestRewireMetapath:
         g, path, model = small_model(n=15, seed=4)
         cfg = RewireConfig(edge_budget=2, epsilon=-2.0)
         sub = compose_metapath(g, path)
-        _, plan = rewire_metapath(sub, score_candidates(model, path, cfg), model, cfg)
+        _, plan = rewire_metapath(sub, score_candidates(model, path, cfg), cfg)
         sources = [i for i, _, _ in plan.additions]
         assert max(np.bincount(sources)) <= 2
 
@@ -226,7 +290,7 @@ class TestRewireMetapath:
         model, _ = train(g, [path], targets, cfg)
         sub = compose_metapath(g, path)
         rcfg = RewireConfig(edge_budget=4, epsilon=0.5, gamma=0.0)
-        rewired, plan = rewire_metapath(sub, score_candidates(model, path, rcfg), model, rcfg)
+        rewired, plan = rewire_metapath(sub, score_candidates(model, path, rcfg), rcfg)
         hr_before = path_homophily(sub, g.labels).ratio
         hr_after = path_homophily(rewired, g.labels).ratio
         assert hr_after > hr_before
@@ -249,16 +313,17 @@ class TestRewireMetapath:
             sources=np.array([0, 46_341, 49_999, 49_999], dtype=np.int64),
             partners=np.array([49_998, 49_999, 46_340, 46_341], dtype=np.int64),
             scores=np.full(4, 0.8),
+            units=[rep.units for rep in _path_reps(model, path)],
         )
         new = {(46_341, 49_999), (49_999, 46_341)}
         old = {(i, j) for e in edges for i, j in (e, e[::-1])}
 
-        rewired, plan = rewire_metapath(sub, cands, model, RewireConfig())
+        rewired, plan = rewire_metapath(sub, cands, RewireConfig())
         assert plan.additions == [(46_341, 49_999, 0.8), (49_999, 46_341, 0.8)]
         assert plan.removals == []
         assert csr_pairs(rewired.adjacency) == old | new
 
-        rewired, plan = rewire_metapath(sub, cands, model, RewireConfig(gamma=1.01))
+        rewired, plan = rewire_metapath(sub, cands, RewireConfig(gamma=1.01))
         assert [(i, j) for i, j, _ in plan.removals] == edges
         assert csr_pairs(rewired.adjacency) == new
 
@@ -303,7 +368,7 @@ def test_plan_tsv_format():
     g, path, model = small_model(n=8, seed=1)
     cfg = RewireConfig(edge_budget=2, epsilon=-2.0, gamma=0.9)
     sub = compose_metapath(g, path)
-    _, plan = rewire_metapath(sub, score_candidates(model, path, cfg), model, cfg)
+    _, plan = rewire_metapath(sub, score_candidates(model, path, cfg), cfg)
     text = plan_tsv_text([plan], g.schema)
     assert text.endswith("\n")
     lines = text.splitlines()
@@ -334,7 +399,7 @@ def test_plan_tsv_matches_the_per_pair_lines():
 def test_failed_plan_write_keeps_existing_file(tmp_path):
     g, path, model = small_model(n=8, seed=1)
     cfg = RewireConfig(edge_budget=2, epsilon=-2.0)
-    _, plan = rewire_metapath(compose_metapath(g, path), score_candidates(model, path, cfg), model, cfg)
+    _, plan = rewire_metapath(compose_metapath(g, path), score_candidates(model, path, cfg), cfg)
     target = tmp_path / "rewire_plan.tsv"
     save_plan_tsv([plan], g.schema, str(target))
     before = target.read_bytes()
@@ -411,7 +476,7 @@ def test_scan_and_apply_match_per_row_and_set_oracles(
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
-    rewired, plan = rewire_metapath(sub, cands, model, cfg)
+    rewired, plan = rewire_metapath(sub, cands, cfg)
     want_adj, want_add, want_del = rewire_with_sets(sub, want_idx, want_scores, model, gamma)
     assert plan.additions == want_add
     assert plan.removals == want_del
@@ -493,7 +558,7 @@ def test_unbounded_epsilon_keeps_self_and_masked_pairs_out(epsilon, two_hop):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cands = score_candidates(model, path, cfg, sub=sub)
-        rewire_metapath(sub, cands, model, cfg)
+        rewire_metapath(sub, cands, cfg)
     assert np.all(cands.sources != cands.partners)
     if two_hop:
         adj = sub.adjacency.toarray().astype(np.int64)
