@@ -196,7 +196,7 @@ def traced_peak(fn, *args) -> int:
 def aux_instance(n: int, seed: int = 0):
     """An untrained model of the path NAN over n targets, each joined to four
     of n // 2 auxiliary nodes at random: NAN has degree about 32, and its
-    two-hop reach about a seventh of the targets."""
+    two-hop reach about a tenth of the targets."""
     rng = np.random.default_rng(seed)
     links = list(zip(np.repeat(np.arange(n), 4).tolist(), rng.integers(0, n // 2, 4 * n).tolist()))
     g = make_graph({"n": n, "a": n // 2},
@@ -214,8 +214,8 @@ def aux_instance(n: int, seed: int = 0):
 def test_default_scan_memory_is_set_by_the_tile(instance, two_hop):
     """The default scan over 8,000 targets holds one float32 tile of
     2 * TILE scores (8 MiB) and its two-hop mask of 2 MiB; a 512-row tile
-    would take 16 MiB. On the aux path a tile reaches about 300,000 partners:
-    a mask that kept them with their scores would pass the bound."""
+    would take 16 MB. On the aux path a tile reaches about 200,000 partners:
+    a mask that kept them with their scores and indices peaked at 18 MiB."""
     g, path, model = instance(8_000)
     sub = compose_metapath(g, path)
     peak = traced_peak(score_candidates, model, path, RewireConfig(restrict_two_hop=two_hop), sub)
