@@ -113,7 +113,7 @@ def _cmd_rewire(args) -> int:
     plans, pairs, changed = [], [], []
     for path in model.paths:
         sub = compose_metapath(g, path)
-        rewired, plan = rewire_metapath(sub, score_candidates(model, path, cfg, sub=sub), cfg)
+        rewired, plan = rewire_metapath(sub, score_candidates(model, sub, cfg), cfg)
         plans.append(plan)
         pairs.append((sub, rewired))
         if not plan.empty:
@@ -229,9 +229,6 @@ def build_parser() -> _Parser:
     p.add_argument("--edge-budget", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--block-size", type=int,
-                   help="rows per float32 candidate score tile (default: max(1, 2^21 // target "
-                        "nodes)); plan scores are float64 per pair, so the output does not depend on it")
     p.add_argument("--two-hop-only", dest="restrict_two_hop", action="store_true",
                    help="restrict candidates to two-hop neighborhoods of the subgraph")
     p.set_defaults(func=_cmd_rewire)

@@ -117,27 +117,26 @@ def enumerate_metapaths(schema: HeteroSchema, target: int, max_len: int) -> list
     out_rels: dict[int, list[int]] = {}
     for r in schema.relations:
         out_rels.setdefault(r.src_type, []).append(r.rel_id)
-    for lst in out_rels.values():
-        lst.sort()
 
+    # level by level, not by recursion, so a long bound cannot overflow the
+    # stack; the sort then gives the lexicographic order
     found: list[tuple[int, ...]] = []
-
-    def walk(cur_type: int, prefix: list[int]) -> None:
-        if len(prefix) >= max_len:
-            return
-        for rid in out_rels.get(cur_type, []):
-            r = schema.relations[rid]
-            if r.name.startswith(REWIRED_PREFIX):
-                if not prefix and r.dst_type == target:
-                    found.append((rid,))
-                continue
-            prefix.append(rid)
-            if r.dst_type == target:
-                found.append(tuple(prefix))
-            walk(r.dst_type, prefix)
-            prefix.pop()
-
-    walk(target, [])
+    level: list[tuple[tuple[int, ...], int]] = [((), target)]
+    while level and len(level[0][0]) < max_len:
+        grown = []
+        for prefix, cur_type in level:
+            for rid in out_rels.get(cur_type, []):
+                r = schema.relations[rid]
+                if r.name.startswith(REWIRED_PREFIX):
+                    if not prefix and r.dst_type == target:
+                        found.append((rid,))
+                    continue
+                ids = prefix + (rid,)
+                if r.dst_type == target:
+                    found.append(ids)
+                grown.append((ids, r.dst_type))
+        level = grown
+    found.sort()
 
     mirror = _mirror_map(schema)
     kept: list[MetaPath] = []

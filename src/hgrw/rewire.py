@@ -4,16 +4,17 @@ Per target node, up to ``edge_budget`` new neighbors with similarity above
 ``epsilon`` are proposed; existing edges scoring below ``gamma`` are pruned.
 Additions and removals apply symmetrically. Every plan score is one pair's
 float64 product of unit-row dots (``_pair_scores``), whatever tile found it.
-The candidate scan keeps, from float32 score tiles of max(1, 2 * TILE // n)
-rows (``block_size`` rows when set), every entry that can be among its row's
-best within a slack of about hops * (width + 4) * 2^-23, and ranks only those
-in float64. Under restrict_two_hop a tile is masked to its rows' two-hop
-reach: a boolean tile is cleared at each edge i - j and along each walk
-i - j - c of the subgraph, WALKS walks at a time, and the entries left set
-become -inf. Existing pairs are scored in chunks of TILE // width pairs, so
-no temporary that grows with the node or edge count outgrows 8 MiB. Pair keys
-are sorted int64 arrays: numpy's hashed np.unique, np.isin and np.union1d are
-several times slower than a sort and searchsorted on them.
+The candidate scan keeps, from float32 score tiles that hold 2 * TILE values
+in all (two tiles of half the rows at several hops), every entry that can be
+among its row's best within a slack of about hops * (width + 4) * 2^-23, and
+ranks only those in float64. Under restrict_two_hop a tile is masked to its
+rows' two-hop reach: a boolean tile is cleared at each edge i - j and along
+each walk i - j - c of the subgraph, WALKS walks at a time, and the entries
+left set become -inf. Existing pairs are scored in chunks of TILE // width
+pairs, so no temporary that grows with the node or edge count outgrows 8 MiB
+but the unit rows, which ``_path_reps`` builds for all targets at once. Pair
+keys are sorted int64 arrays: numpy's hashed np.unique, np.isin and
+np.union1d are several times slower than a sort and searchsorted on them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .metapath import REWIRED_PREFIX, MetaPath, MetaPathSubgraph, path_label
 from .sparse import bool_csr
 
 GROUPS = 64  # column groups per score row for the top-k lower bound
-TILE = 1 << 20  # float64 values (8 MiB) in a pair-score gather; a float32 scan tile holds twice as many
+TILE = 1 << 20  # float64 values (8 MiB) in a pair-score gather; the float32 scan tiles hold twice as many
 WALKS = TILE // 32  # two-hop walks (40 bytes each), then mask entries, handled at a time
 
 
@@ -41,14 +42,11 @@ class RewireConfig:
     edge_budget: int = 6
     epsilon: float = 0.6
     gamma: float = -1.0
-    block_size: int | None = None  # rows per scan tile; None: max(1, 2 * TILE // n_target)
     restrict_two_hop: bool = False
 
     def __post_init__(self):
         if self.edge_budget < 0:
             raise ValueError("edge_budget must be >= 0")
-        if self.block_size is not None and self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
         if math.isnan(self.epsilon) or math.isnan(self.gamma):
             raise ValueError("epsilon and gamma must not be NaN")
 
@@ -113,32 +111,24 @@ def _first_k(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, k: int, floor
     return rows[keep], cols[keep], vals[keep]
 
 
-def score_candidates(
-    m: SimilarityModel,
-    path: MetaPath,
-    cfg: RewireConfig,
-    sub: MetaPathSubgraph | None = None,
-) -> CandidateSet:
-    """For every target node the edge_budget highest-scoring partners with
-    similarity strictly above epsilon, ties broken by ascending node index.
-
-    ``sub`` is only needed when restrict_two_hop limits the candidate pool to
-    the subgraph's one- and two-hop neighborhoods.
-    """
+def score_candidates(m: SimilarityModel, sub: MetaPathSubgraph, cfg: RewireConfig) -> CandidateSet:
+    """For every target node the edge_budget highest-scoring partners on
+    ``sub.path`` with similarity strictly above epsilon, ties broken by
+    ascending node index. Under restrict_two_hop the pool is each node's one-
+    and two-hop neighborhood in ``sub``."""
     n = m.graph.target_count
     k = cfg.edge_budget
-    units = [rep.units for rep in _path_reps(m, path)]
+    units = [rep.units for rep in _path_reps(m, sub.path)]
     if k == 0 or n == 0:
         return CandidateSet(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), units)
-    if cfg.restrict_two_hop and sub is None:
-        raise ValueError("restrict_two_hop needs the meta-path subgraph")
 
     units32 = [u.astype(np.float32) for u in units]
     # For unit rows of width w, |fl(a.b) - a.b| <= gamma_w sum|a_i b_i| <= w 2^-24 in
     # float32 (Higham 2002, 3.1); the two casts and each hop's product add 3 * 2^-24, so
     # a tile entry is within sum_h (w_h + 3) 2^-24 of its float64 score: slack doubles it
     slack = sum(u.shape[1] + 4 for u in units) * 2.0**-23
-    block = min(cfg.block_size or max(1, 2 * TILE // n), n)
+    # a second hop takes a second buffer: together they hold 2 * TILE values
+    block = min(max(1, 2 * TILE // (n * min(len(units), 2))), n)
     sim_buf = np.empty((block, n), dtype=np.float32)
     hop_buf = np.empty_like(sim_buf) if len(units) > 1 else None
     if cfg.restrict_two_hop:

@@ -79,6 +79,12 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 
+    def test_unknown_flag(self, dataset, trained_model, tmp_path, capsys):
+        out = str(tmp_path / "rw")
+        assert main(["rewire", dataset, "--model", trained_model, "--out", out, "--block-size", "7"]) == 1
+        assert capsys.readouterr().err.startswith("hgrw: usage error:")
+        assert not os.path.exists(out)
+
     def test_missing_dataset_is_data_error(self):
         assert main(["inspect", "/nonexistent/dataset"]) == 2
 
@@ -129,7 +135,6 @@ BAD_FLAGS = [
     ("train", ["--max-path-len", "0"]),
     ("diag", ["--max-path-len", "0"]),
     ("rewire", ["--edge-budget", "-1"]),
-    ("rewire", ["--block-size", "0"]),
     ("rewire", ["--epsilon", "nan"]),
     ("rewire", ["--gamma", "nan"]),
 ]

@@ -88,9 +88,9 @@ def test_renaming_target_nodes_permutes_every_result(n, seed):
         for rep, rep_p in zip(_path_reps(model, path), _path_reps(model_p, path), strict=True):
             np.testing.assert_allclose(rep_p.units, rep.units[perm], rtol=0, atol=1e-12)
         sub, sub_p = compose_metapath(g, path), compose_metapath(gp, path)
-        cands = score_candidates(model, path, rcfg)
+        cands = score_candidates(model, sub, rcfg)
         plan = rewire_metapath(sub, cands, rcfg)[1]
-        plan_p = rewire_metapath(sub_p, score_candidates(model_p, path, rcfg), rcfg)[1]
+        plan_p = rewire_metapath(sub_p, score_candidates(model_p, sub_p, rcfg), rcfg)[1]
         added = {(i, j): s for i, j, s in plan.additions}
         added_p = {(int(perm[i]), int(perm[j])): s for i, j, s in plan_p.additions}
         # a pair may differ only where a tie at a source's k-th score, or a
@@ -144,7 +144,7 @@ def test_relabelling_the_classes_changes_no_value(n, seed):
 
     rcfg = RewireConfig(epsilon=0.0, gamma=0.0)
     for sub in subs:
-        plan, plan_p = (rewire_metapath(sub, score_candidates(m, sub.path, rcfg), rcfg)[1] for m in (model, model_p))
+        plan, plan_p = (rewire_metapath(sub, score_candidates(m, sub, rcfg), rcfg)[1] for m in (model, model_p))
         for pairs, pairs_p in ((plan.additions, plan_p.additions), (plan.removals, plan_p.removals)):
             assert [p[:2] for p in pairs_p] == [p[:2] for p in pairs]
             np.testing.assert_allclose([p[2] for p in pairs_p], [p[2] for p in pairs], rtol=0, atol=1e-12)

@@ -155,6 +155,13 @@ class TestEnumerate:
         after = [p.relation_ids for p in enumerate_metapaths(merged.schema, 0, max_len)]
         assert after == before + added
 
+    def test_long_bound_needs_no_deep_stack(self):
+        # one self relation forms one path of each length: a walk that recursed
+        # once per hop overflowed Python's stack past about 1,000 hops
+        g = make_graph({"n": 2}, [("r", "n", "n", [(0, 1)])], "n", labels=[0, 1])
+        paths = enumerate_metapaths(g.schema, g.target_type, 5000)
+        assert [len(p) for p in paths] == list(range(1, 5001))
+
     def test_max_len_monotone(self):
         rng = np.random.default_rng(4)
         g = random_hetero_graph(rng, max_nodes=10)
