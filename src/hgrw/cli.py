@@ -249,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"hgrw: usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"hgrw: data error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, MemoryError) as exc:

@@ -6,6 +6,12 @@ matrix is also read, as an interchange input), labels.tsv and splits.tsv for
 the target type.
 Loading after saving reproduces the graph exactly: integer structure equal,
 feature bytes identical.
+
+numpy's text parser reads an ASCII edge file of in-range decimal pairs, with
+a sign or blanks around a field, blank lines, CR or CRLF line ends or no
+final newline. Only `1_000`, non-ASCII bytes, the separators 0x1c-0x1f, an
+empty file and malformed or out-of-range lines reach the line-by-line
+reader, which takes what ``int()`` takes and names the first malformed line.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import json
 import os
 import re
 import struct
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,40 +122,23 @@ def read_features_tsv(filename: str, cols: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.float32)
 
 
-def _parse_canonical_edges(raw: bytes, n_src: int, n_dst: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The int64 (src, dst) endpoints of an edge file in the form
-    ``_write_edges`` writes: 'digits<TAB>digits<LF>' lines, each field 1 to
-    18 digits (so it fits int64) and in range. None for any other input,
-    which the line reader then parses or reports."""
-    b = np.frombuffer(raw, dtype=np.uint8)
-    if b.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    if b[-1] != ord("\n") or (b > ord("9")).any():
-        return None
-    ends = np.flatnonzero(b < ord("0"))  # the byte after each field
-    # tabs and line feeds alternate; the final line feed makes their count even
-    if (b[ends[0::2]] != ord("\t")).any() or (b[ends[1::2]] != ord("\n")).any():
-        return None
-    widths = np.diff(ends, prepend=-1) - 1
-    if widths.min() < 1 or widths.max() > 18:
-        return None
-    values = np.zeros(ends.size, dtype=np.int64)
-    for k in range(int(widths.max())):  # the digit k places left of each field's end
-        digit = b[ends - 1 - k].astype(np.int64) - ord("0")
-        values += np.where(widths > k, digit, 0) * 10**k
-    src, dst = values[0::2], values[1::2]
-    if src.max() >= n_src or dst.max() >= n_dst:
-        return None
-    return src, dst
-
-
 def _read_edges(filename: str, n_src: int, n_dst: int) -> sp.csr_matrix:
+    """The relation matrix of an edge file. The line reader decides whatever
+    numpy's parser rejects, warns about or could misread: that parser takes
+    the bytes 0x1c-0x1f for blanks and some non-ASCII letters for digits."""
     if not os.path.isfile(filename):
         raise DataError(f"missing edge file {filename}")
     with open(filename, "rb") as fh:
-        parsed = _parse_canonical_edges(fh.read(), n_src, n_dst)
-    src, dst = parsed if parsed is not None else _read_edge_lines(filename, n_src, n_dst)
-    return bool_csr(src, dst, (n_src, n_dst))
+        raw = fh.read()
+    edges = None
+    if raw.isascii() and not any(sep in raw for sep in b"\x1c\x1d\x1e\x1f"):
+        with contextlib.suppress(Exception), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = np.loadtxt(filename, dtype=np.int64, delimiter="\t", comments=None, ndmin=2,
+                               encoding="utf-8")
+    if edges is None or edges.shape[1] != 2 or (edges < 0).any() or (edges >= (n_src, n_dst)).any():
+        return bool_csr(*_read_edge_lines(filename, n_src, n_dst), (n_src, n_dst))
+    return bool_csr(edges[:, 0], edges[:, 1], (n_src, n_dst))
 
 
 def _read_edge_lines(filename: str, n_src: int, n_dst: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,12 +182,12 @@ def _encode_edges(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return out
 
 
-def _write_edges(adj: sp.csr_matrix, filename: str) -> None:
-    coo = adj.tocoo()
+def _write_edges(src: np.ndarray, dst: np.ndarray, filename: str) -> None:
+    """One 'src<TAB>dst' line per pair of non-negative integers, in order."""
     with open(filename, "wb") as fh:
-        for start in range(0, coo.nnz, _EDGES_PER_CHUNK):
+        for start in range(0, len(src), _EDGES_PER_CHUNK):
             stop = start + _EDGES_PER_CHUNK
-            fh.write(_encode_edges(coo.row[start:stop], coo.col[start:stop]))
+            fh.write(_encode_edges(src[start:stop], dst[start:stop]))
 
 
 def save_graph(g: HeteroGraph, directory: str) -> None:
@@ -219,7 +209,8 @@ def save_graph(g: HeteroGraph, directory: str) -> None:
     taken_edges: set[str] = set()
     for r, adj in zip(g.schema.relations, g.adjacency):
         fname = f"edges_{_safe_name(r.name, taken_edges)}.tsv"
-        _write_edges(adj, os.path.join(directory, fname))
+        coo = adj.tocoo()
+        _write_edges(coo.row, coo.col, os.path.join(directory, fname))
         rel_rows.append(
             {
                 "name": r.name,
@@ -229,9 +220,8 @@ def save_graph(g: HeteroGraph, directory: str) -> None:
             }
         )
 
-    with open(os.path.join(directory, "labels.tsv"), "w", encoding="utf-8") as fh:
-        for i in np.flatnonzero(g.labels >= 0):
-            fh.write(f"{i}\t{int(g.labels[i])}\n")
+    labeled = np.flatnonzero(g.labels >= 0)
+    _write_edges(labeled, g.labels[labeled], os.path.join(directory, "labels.tsv"))
     with open(os.path.join(directory, "splits.tsv"), "w", encoding="utf-8") as fh:
         for i in np.flatnonzero(g.splits != UNASSIGNED):
             fh.write(f"{i}\t{SPLIT_NAMES[int(g.splits[i])]}\n")

@@ -13,11 +13,11 @@ from typing import Sequence
 import numpy as np
 
 _DEGENERATE = 1e-18
+_MAX_ITERS = 100
+_TOL = 1e-6  # stop once the Frank-Wolfe gap falls below this
 
 
-def min_norm_point(
-    grads: Sequence[np.ndarray], max_iters: int = 100, tol: float = 1e-6
-) -> np.ndarray:
+def min_norm_point(grads: Sequence[np.ndarray]) -> np.ndarray:
     """Weights lambda minimizing ||sum_i lambda_i g_i||^2 over the simplex.
 
     Degenerate conventions: if any gradient is the zero vector, weight is
@@ -45,12 +45,12 @@ def min_norm_point(
         return np.where(zero, 1.0 / zero.sum(), 0.0)
 
     lam = np.full(m, 1.0 / m)
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         v = gram @ lam
         t = int(np.argmin(v))
         current = float(lam @ v)
         gap = current - float(v[t])
-        if gap < tol:
+        if gap < _TOL:
             break
         # exact line search between the current point a and vertex g_t
         denom = current - 2.0 * float(v[t]) + float(gram[t, t])
@@ -61,7 +61,7 @@ def min_norm_point(
         lam = gamma * lam
         lam[t] += 1.0 - gamma
         # re-minimize over the support so the iteration cannot zigzag along a
-        # face; vanilla steps alone stall far from the requested tolerance
+        # face; vanilla steps alone stall far from _TOL
         lam = _corrective_step(gram, lam)
     lam = np.maximum(lam, 0.0)
     return lam / lam.sum()

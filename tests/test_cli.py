@@ -524,6 +524,32 @@ def test_missing_model_file_for_rewire_reports_cleanly(tmp_path, capsys):
     assert err.startswith("hgrw: data error:") and err.count("\n") == 1
 
 
+# an output in a missing directory, or an existing file where a dataset
+# directory goes; the checkpoint is already written when the loss CSV fails
+UNWRITABLE_OUTPUTS = [
+    ("train", ["--out", "{missing}/m.msl"]),
+    ("train", ["--out", "{tmp}/m.msl", "--loss-csv", "{missing}/l.csv"]),
+    ("rewire", ["--model", "{model}", "--out", "{file}"]),
+    ("synth", ["--out", "{file}", "--target-nodes", "30"]),
+    ("diag", ["--report", "{missing}/r.json"]),
+]
+
+
+@pytest.mark.parametrize("command,flags", UNWRITABLE_OUTPUTS,
+                         ids=[" ".join([c, *f]) for c, f in UNWRITABLE_OUTPUTS])
+def test_unwritable_output_is_data_error(command, flags, dataset, trained_model, tmp_path, capsys):
+    Path(tmp_path, "file").write_text("")
+    slots = {"missing": str(tmp_path / "missing"), "file": str(tmp_path / "file"), "tmp": str(tmp_path),
+             "model": trained_model}
+    flags = [f.format(**slots) for f in flags]
+    fast = ["--max-path-len", "1", "--hidden-dim", "8", "--epochs-attr", "2", "--epochs-label", "1"]
+    args = {"synth": [], "train": [dataset, *fast], "rewire": [dataset], "diag": [dataset]}[command]
+    assert main([command, *args, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hgrw: data error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert any(f in err for f in flags if "missing" in f or f == slots["file"])  # it names the path
+
+
 SATURATED_LEVELS = [
     ["--target-nodes", "100", "--mean-degree", "99", "--p-self", "1.0"],
     ["--target-nodes", "100", "--mean-degree", "60", "--p-self", "0.0"],
