@@ -19,7 +19,7 @@ from .learner import LearnerConfig, read_checkpoint, save_history_csv, save_mode
 from .metapath import MetaPath, compose_metapath, enumerate_metapaths, max_homophily, measure_paths, path_label
 from .rewire import RewireConfig, merge_into_graph, rewire_metapath, save_plan_tsv, score_candidates
 from .synth import SynthConfig, synth_generate
-from .targets import TargetsConfig, similarity_targets
+from .targets import TargetsConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,9 +92,8 @@ def _cmd_train(args) -> int:
         raise DataError("no meta-path to train on (raise --max-path-len or pass --path)")
     tcfg = _config(TargetsConfig, args)
     cfg = _config(LearnerConfig, args)
-    targets = [similarity_targets(compose_metapath(g, p), g, tcfg)[1] for p in paths]
-    model, history = train(g, paths, targets, cfg)
-    save_model(model, args.out, extra_meta={"targets": dataclasses.asdict(tcfg)})
+    model, history = train(g, paths, tcfg, cfg)
+    save_model(model, args.out, extra_meta={"targets": {"alpha": tcfg.alpha, "num_hops": cfg.num_hops}})
     labels = [path_label(g.schema, p) for p in paths]
     loss_csv = args.loss_csv or args.out + ".loss.csv"
     save_history_csv(history, labels, loss_csv)

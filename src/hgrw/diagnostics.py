@@ -1,5 +1,5 @@
-"""Reporting utilities: homophily before/after tables, the intra/inter-class
-complexity measure of representation sets, and relative-improvement summaries."""
+"""Reporting: homophily before/after tables, mean aggregation over a meta-path
+subgraph, and the intra/inter-class complexity measure of representation sets."""
 
 from __future__ import annotations
 

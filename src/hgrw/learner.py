@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import struct
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
@@ -43,8 +42,8 @@ from .graph import HeteroGraph
 from .metapath import MetaPath, compose_metapath
 from .multiobjective import min_norm_point
 from .sparse import bool_csr, row_normalize
-from .targets import (ZERO_NORM_CUTOFF, DistributionFeatures, SimilarityTargets, TargetsConfig,
-                      centered_unit_rows, neighborhood_distributions)
+from .targets import (ZERO_NORM_CUTOFF, SimilarityTargets, TargetsConfig, centered_unit_rows,
+                      neighborhood_distributions, similarity_targets)
 
 CHECKPOINT_MAGIC = b"MSL1"
 
@@ -125,26 +124,12 @@ def param_views(flat: np.ndarray, layout: Layout) -> dict[tuple, np.ndarray]:
 class SimilarityModel:
     """Trainable state: the flat parameter vector and its projection views,
     and per hop the fixed target rows M_k of W^k X with their column mean
-    (and, in concat mode, each path's distribution column means)."""
+    (and, in concat mode, each path's propagated attributes, the
+    distribution columns, with their column means)."""
 
-    def __init__(
-        self,
-        g: HeteroGraph,
-        paths: Sequence[MetaPath],
-        cfg: LearnerConfig,
-        dist_features: Sequence[DistributionFeatures] | None = None,
-    ):
+    def __init__(self, g: HeteroGraph, paths: Sequence[MetaPath], cfg: LearnerConfig):
         if not paths:
             raise ValueError("need at least one meta-path")
-        if cfg.concat_distribution_features:
-            if dist_features is None or len(dist_features) != len(paths):
-                raise ValueError("concat mode needs one DistributionFeatures per path")
-            for df in dist_features:
-                if df.num_hops < cfg.num_hops:
-                    raise ValueError(
-                        f"distribution features carry {df.num_hops} hops, "
-                        f"model needs {cfg.num_hops}"
-                    )
         self.graph = g
         self.cfg = cfg
         self.paths = tuple(paths)
@@ -161,8 +146,12 @@ class SimilarityModel:
             x = walk @ x
             self.propagated.append(x[target].copy())
         self.propagated_mean = [mk.mean(axis=0) for mk in self.propagated]
-        self.dist_features = tuple(dist_features) if dist_features is not None else None
-        self.dist_mean = [[a.mean(axis=0) for a in df.attr] for df in self.dist_features or ()]
+        # the propagated attributes depend on the hop count alone, not on alpha
+        self.dist_attr = [
+            neighborhood_distributions(compose_metapath(g, p), g, TargetsConfig(), cfg.num_hops).attr
+            for p in self.paths
+        ] if cfg.concat_distribution_features else []
+        self.dist_mean = [[a.mean(axis=0) for a in attr] for attr in self.dist_attr]
 
         self.layout = param_layout(g, cfg, len(self.paths))
         self.params = np.empty(sum(rows * cols for _, (rows, cols) in self.layout))
@@ -204,7 +193,7 @@ def _path_reps(m: SimilarityModel, path: MetaPath, idx: np.ndarray | None = None
         z_mean = m.propagated_mean[k] @ m.w_in_all
         h, mean = z @ m.w_path[pidx][k], z_mean @ m.w_path[pidx][k]
         if m.cfg.concat_distribution_features:
-            dist = m.dist_features[pidx].attr[k]
+            dist = m.dist_attr[pidx][k]
             h = np.concatenate([h, dist if idx is None else dist[idx]], axis=1)
             mean = np.concatenate([mean, m.dist_mean[pidx][k]])
         units, norms = centered_unit_rows(h, mean)
@@ -431,26 +420,17 @@ def _sample_axis(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 
 
 def train(
-    g: HeteroGraph,
-    paths: Sequence[MetaPath],
-    targets: Sequence[SimilarityTargets],
-    cfg: LearnerConfig,
+    g: HeteroGraph, paths: Sequence[MetaPath], tcfg: TargetsConfig, cfg: LearnerConfig
 ) -> tuple[SimilarityModel, list[HistoryRow]]:
-    """Two-phase training: attribute targets first, label targets folded in
-    for the fine-tune epochs. One window of batch_rows x batch_cols pairs is
-    sampled per epoch and shared by every meta-path; the min-norm solver
-    weights the per-path gradients before each Adam step. Deterministic for
-    a fixed seed. A blown-up model stops with NumericError at the first
-    non-finite loss, without numpy's overflow warnings."""
-    if len(paths) != len(targets):
-        raise ValueError("one SimilarityTargets per path required")
-    for t in targets:
-        if t.num_hops != cfg.num_hops:
-            raise ValueError(
-                f"targets were built with {t.num_hops} hops, config says {cfg.num_hops}"
-            )
-    dist = [t.df for t in targets] if cfg.concat_distribution_features else None
-    model = SimilarityModel(g, paths, cfg, dist_features=dist)
+    """Two-phase training against each path's ``cfg.num_hops``-hop targets:
+    attribute targets first, label targets folded in for the fine-tune
+    epochs. One window of batch_rows x batch_cols pairs is sampled per epoch
+    and shared by every meta-path; the min-norm solver weights the per-path
+    gradients before each Adam step. Deterministic for a fixed seed. A
+    blown-up model stops with NumericError at the first non-finite loss,
+    without numpy's overflow warnings."""
+    targets = [similarity_targets(compose_metapath(g, p), g, tcfg, cfg.num_hops) for p in paths]
+    model = SimilarityModel(g, paths, cfg)
 
     rng = np.random.default_rng(cfg.seed)
     adam = _Adam(model.params.size, cfg.learning_rate, cfg.weight_decay)
@@ -564,17 +544,19 @@ class Checkpoint:
             raise bad
 
     def model(self, g: HeteroGraph) -> SimilarityModel:
-        """Rebuild the model bound to ``g``. A concat-mode model reads only
-        the propagated attributes of its distribution features, which depend
-        on the hop count alone, so they are rebuilt here from ``g``."""
+        """Rebuild the model bound to ``g``."""
         self.check_graph(g)
-        dist = None
-        if self.cfg.concat_distribution_features:
-            tcfg = TargetsConfig(num_hops=self.cfg.num_hops)
-            dist = [neighborhood_distributions(compose_metapath(g, p), g, tcfg) for p in self.paths]
-        model = SimilarityModel(g, self.paths, self.cfg, dist_features=dist)
+        model = SimilarityModel(g, self.paths, self.cfg)
         model.set_params(self.params)
         return model
+
+
+def _ints(values) -> tuple[int, ...]:
+    """The header ints ``values``; anything else, a bool included, is a TypeError."""
+    values = tuple(values)
+    if any(type(v) is not int for v in values):
+        raise TypeError(f"{list(values)!r} holds a value that is not an integer")
+    return values
 
 
 def read_checkpoint(filename: str) -> Checkpoint:
@@ -599,8 +581,13 @@ def read_checkpoint(filename: str) -> Checkpoint:
             if type(config[f.name]) not in allowed:
                 raise TypeError(f"config field {f.name!r} holds {config[f.name]!r}")
         cfg = LearnerConfig(**config)  # an unknown field is a TypeError
-        paths = tuple(MetaPath(tuple(map(operator.index, ids))) for ids in header["paths"])
-        index = tuple((tuple(entry["key"]), tuple(entry["shape"])) for entry in header["params"])
+        paths = tuple(MetaPath(_ints(ids)) for ids in header["paths"])
+        if not paths:
+            raise DataError(f"{filename}: checkpoint names no meta-path")
+        index = tuple(  # a key is its kind ("in" or "path"), then ints
+            ((*entry["key"][:1], *_ints(entry["key"][1:])), _ints(entry["shape"]))
+            for entry in header["params"]
+        )
         # a bad shape fails here or in Checkpoint.check_graph
         end = 8 + hlen + 8 * sum(math.prod(shape) for _, shape in index)
         if end > len(data):

@@ -22,12 +22,9 @@ ZERO_NORM_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class TargetsConfig:
-    num_hops: int = 1
     alpha: float = 0.6
 
     def __post_init__(self):
-        if self.num_hops < 1:
-            raise ValueError("num_hops must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
 
@@ -42,13 +39,9 @@ class DistributionFeatures:
     train_neighbor_frac: np.ndarray
     mask: np.ndarray
 
-    @property
-    def num_hops(self) -> int:
-        return len(self.attr)
-
 
 def neighborhood_distributions(
-    sub: MetaPathSubgraph, g: HeteroGraph, cfg: TargetsConfig
+    sub: MetaPathSubgraph, g: HeteroGraph, cfg: TargetsConfig, num_hops: int
 ) -> DistributionFeatures:
     n = g.target_count
     if sub.adjacency.shape != (n, n):
@@ -62,7 +55,7 @@ def neighborhood_distributions(
 
     attr, label = [], []
     cur_x, cur_y = x, y
-    for _ in range(cfg.num_hops):
+    for _ in range(num_hops):
         cur_x = walk @ cur_x
         cur_y = walk @ cur_y
         attr.append(cur_x)
@@ -116,7 +109,7 @@ class SimilarityTargets:
         self._label_units = tuple(centered_unit_rows(m, m.mean(axis=0))[0] for m in df.label)
         self.mask = df.mask.astype(np.float64)
         self.n = df.attr[0].shape[0]
-        self.num_hops = df.num_hops
+        self.num_hops = len(df.attr)
         self._full: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def full_window(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,7 +147,6 @@ class SimilarityTargets:
 
 
 def similarity_targets(
-    sub: MetaPathSubgraph, g: HeteroGraph, cfg: TargetsConfig
-) -> tuple[DistributionFeatures, SimilarityTargets]:
-    df = neighborhood_distributions(sub, g, cfg)
-    return df, SimilarityTargets(df)
+    sub: MetaPathSubgraph, g: HeteroGraph, cfg: TargetsConfig, num_hops: int
+) -> SimilarityTargets:
+    return SimilarityTargets(neighborhood_distributions(sub, g, cfg, num_hops))

@@ -82,7 +82,7 @@ def test_c03_lazy_targets_match_dense_materialization():
                         self_homophily=(0.4,), mean_degree=6.0, train_ratio=0.4, seed=33)
         )
         sub = compose_metapath(g, MetaPath((0,)))
-        _, tg = similarity_targets(sub, g, TargetsConfig(num_hops=num_hops, alpha=0.3))
+        tg = similarity_targets(sub, g, TargetsConfig(alpha=0.3), num_hops)
         y = np.zeros((100, 3))
         train = g.train_mask & (g.labels >= 0)
         y[np.flatnonzero(train), g.labels[train]] = 1.0
@@ -122,11 +122,10 @@ def test_c04_gradients_match_finite_differences():
         )
         for num_hops in (1, 2):
             for concat in (False, True):
-                tcfg = TargetsConfig(num_hops=num_hops, alpha=0.3)
-                df, tg = similarity_targets(compose_metapath(g, path), g, tcfg)
+                tg = similarity_targets(compose_metapath(g, path), g, TargetsConfig(alpha=0.3), num_hops)
                 cfg = LearnerConfig(hidden_dim=4, num_hops=num_hops, seed=seed,
                                     concat_distribution_features=concat)
-                model = SimilarityModel(g, [path], cfg, dist_features=[df] if concat else None)
+                model = SimilarityModel(g, [path], cfg)
                 res = gradients(model, path, batch, tg)
                 ref = fd_gradients(model, path, batch, tg, h=1e-4)
                 numeric = param_views(ref, model.layout)

@@ -289,6 +289,20 @@ def _edit_params(edit):
     return corrupt
 
 
+def _no_paths(raw: bytes) -> bytes:
+    """A checkpoint with no meta-path whose parameter index and bytes are cut
+    to the input projections, so that they still agree."""
+
+    def drop_paths(header):
+        header["paths"] = []
+        header["params"] = [e for e in header["params"] if e["key"][0] == "in"]
+
+    cut = _edit_header(drop_paths)(raw)
+    hlen = int.from_bytes(cut[4:8], "little")
+    params = json.loads(cut[8 : 8 + hlen])["params"]
+    return cut[: 8 + hlen + 8 * sum(math.prod(e["shape"]) for e in params)]
+
+
 BAD_CHECKPOINTS = {
     "unknown config key": _edit_header(lambda h: h["config"].update(bogus=1)),
     "missing paths": _edit_header(lambda h: h.pop("paths")),
@@ -304,6 +318,9 @@ BAD_CHECKPOINTS = {
     "negative weight decay": _edit_header(lambda h: h["config"].update(weight_decay=-5.0)),
     "all parameters nan": _edit_params(lambda p: p.fill(np.nan)),
     "one infinite parameter": _edit_params(lambda p: p.__setitem__(0, np.inf)),
+    "no meta-path": _no_paths,
+    "boolean relation id": _edit_header(lambda h: h["paths"][1].__setitem__(0, True)),
+    "boolean in the parameter index": _edit_header(lambda h: h["params"][0]["key"].__setitem__(1, False)),
 }
 
 

@@ -55,8 +55,7 @@ def kth_scores(cands, n, k):
 
 
 def fit(g, paths, cfg):
-    targets = [similarity_targets(compose_metapath(g, p), g, TargetsConfig())[1] for p in paths]
-    return train(g, paths, targets, cfg)
+    return train(g, paths, TargetsConfig(), cfg)
 
 
 @given(n=st.integers(30, 300), seed=st.integers(0, 2**16))
@@ -126,7 +125,7 @@ def test_relabelling_the_classes_changes_no_value(n, seed):
     paths = enumerate_metapaths(g.schema, g.target_type, 2)
     subs = [compose_metapath(g, p) for p in paths]
 
-    targets, targets_p = ([similarity_targets(sub, h, TargetsConfig())[1] for sub in subs] for h in (g, gp))
+    targets, targets_p = ([similarity_targets(sub, h, TargetsConfig(), 1) for sub in subs] for h in (g, gp))
     for t, t_p in zip(targets, targets_p):
         for block, block_p in zip(t.full_window(), t_p.full_window(), strict=True):
             np.testing.assert_allclose(block_p, block, rtol=0, atol=1e-12)
@@ -136,8 +135,8 @@ def test_relabelling_the_classes_changes_no_value(n, seed):
     # would draw the same pairs in both runs, since the sampler reads only
     # the seed, but would leave most pairs out of the losses.
     cfg = LearnerConfig(hidden_dim=8, epochs_attr=3, epochs_label=2, batch_rows=n, batch_cols=n, seed=seed)
-    model, history = train(g, paths, targets, cfg)
-    model_p, history_p = train(gp, paths, targets_p, cfg)
+    model, history = train(g, paths, TargetsConfig(), cfg)
+    model_p, history_p = train(gp, paths, TargetsConfig(), cfg)
     for row, row_p in zip(history, history_p, strict=True):
         np.testing.assert_allclose(row_p.losses, row.losses, rtol=1e-12, atol=0)
         np.testing.assert_allclose(row_p.lambdas, row.lambdas, rtol=0, atol=1e-12)

@@ -78,18 +78,21 @@ def target_encodings(model, path):
     return [rep.z for rep in _path_reps(model, path)]
 
 
-def planted_instance(n=30, seed=0, num_hops=1, paths_len=1, concat=False, alpha=0.3):
+# the targets planted_instance builds by default
+PLANTED_TARGETS = TargetsConfig(alpha=0.3)
+
+
+def planted_instance(n=30, seed=0, num_hops=1, paths_len=1, concat=False, alpha=PLANTED_TARGETS.alpha):
     g = synth_generate(
         SynthConfig(target_nodes=n, num_classes=2, feature_dim=4,
                     self_homophily=(0.3,), mean_degree=4.0, seed=seed)
     )
     paths = enumerate_metapaths(g.schema, g.target_type, paths_len)
-    tcfg = TargetsConfig(num_hops=num_hops, alpha=alpha)
-    targets = [similarity_targets(compose_metapath(g, p), g, tcfg)[1] for p in paths]
+    targets = [similarity_targets(compose_metapath(g, p), g, TargetsConfig(alpha=alpha), num_hops)
+               for p in paths]
     cfg = LearnerConfig(hidden_dim=4, num_hops=num_hops, seed=seed,
                         concat_distribution_features=concat)
-    dist = [t.df for t in targets] if concat else None
-    model = SimilarityModel(g, paths, cfg, dist_features=dist)
+    model = SimilarityModel(g, paths, cfg)
     return g, paths, targets, model
 
 
@@ -114,8 +117,7 @@ def two_type_instance(seed, num_hops, dims=(3, 5), n=(9, 6), hidden=4):
         seed=seed,
     )
     paths = [MetaPath((0,)), MetaPath((1, 2))]
-    tcfg = TargetsConfig(num_hops=num_hops)
-    targets = [similarity_targets(compose_metapath(g, p), g, tcfg)[1] for p in paths]
+    targets = [similarity_targets(compose_metapath(g, p), g, TargetsConfig(), num_hops) for p in paths]
     model = SimilarityModel(g, paths, LearnerConfig(hidden_dim=hidden, num_hops=num_hops, seed=seed))
     return g, paths, targets, model
 
@@ -349,9 +351,9 @@ def cancelling_instance(seed, concat, alpha, core=5, isolated=3):
     g = make_graph({"n": n}, [("r", "n", "n", symmetric_edges(pairs))], "n",
                    labels=labels, num_classes=2, features={"n": x}, feature_dim=4)
     path = MetaPath((0,))
-    df, tg = similarity_targets(compose_metapath(g, path), g, TargetsConfig(num_hops=1, alpha=alpha))
+    tg = similarity_targets(compose_metapath(g, path), g, TargetsConfig(alpha=alpha), 1)
     cfg = LearnerConfig(hidden_dim=4, num_hops=1, seed=seed, concat_distribution_features=concat)
-    return g, [path], [tg], SimilarityModel(g, [path], cfg, dist_features=[df] if concat else None)
+    return g, [path], [tg], SimilarityModel(g, [path], cfg)
 
 
 def window(kind, n, rng):
@@ -471,53 +473,53 @@ def test_sampled_window_sets_the_step_cost(num_hops):
 class TestTrain:
     @pytest.mark.parametrize("num_hops", [1, 2])
     def test_overflowing_learning_rate_raises(self, num_hops):
-        g, paths, targets, _ = planted_instance(n=25, num_hops=num_hops)
+        g, paths, _, _ = planted_instance(n=25, num_hops=num_hops)
         cfg = LearnerConfig(hidden_dim=4, num_hops=num_hops, epochs_attr=4, epochs_label=1,
                             learning_rate=1e300, seed=0)
         with pytest.raises(NumericError, match="non-finite loss"):
-            train(g, paths, targets, cfg)
+            train(g, paths, PLANTED_TARGETS, cfg)
 
     def test_single_path_uniform_lambda(self):
-        g, paths, targets, _ = planted_instance(n=25)
+        g, paths, _, _ = planted_instance(n=25)
         cfg = LearnerConfig(hidden_dim=4, num_hops=1, epochs_attr=4, epochs_label=2, seed=0)
-        _, hist = train(g, paths[:1], targets[:1], cfg)
+        _, hist = train(g, paths[:1], PLANTED_TARGETS, cfg)
         assert all(row.lambdas == (1.0,) for row in hist)
         assert [row.phase for row in hist] == ["attr"] * 4 + ["label"] * 2
 
     def test_deterministic_given_seed(self):
-        g, paths, targets, _ = planted_instance(n=25)
+        g, paths, _, _ = planted_instance(n=25)
         cfg = LearnerConfig(hidden_dim=4, num_hops=1, epochs_attr=5, epochs_label=2, seed=9)
-        m1, h1 = train(g, paths, targets, cfg)
-        m2, h2 = train(g, paths, targets, cfg)
+        m1, h1 = train(g, paths, PLANTED_TARGETS, cfg)
+        m2, h2 = train(g, paths, PLANTED_TARGETS, cfg)
         assert h1 == h2
         assert m1.layout == m2.layout and np.array_equal(m1.params, m2.params)
 
     def test_attr_loss_decreases_on_planted_instance(self):
         g = synth_generate(SynthConfig(target_nodes=200, num_classes=2, seed=2))
         paths = enumerate_metapaths(g.schema, g.target_type, 1)
-        tcfg = TargetsConfig(num_hops=1, alpha=0.6)
-        targets = [similarity_targets(compose_metapath(g, p), g, tcfg)[1] for p in paths]
         cfg = LearnerConfig(epochs_attr=40, epochs_label=1, seed=2)
-        _, hist = train(g, paths, targets, cfg)
+        _, hist = train(g, paths, TargetsConfig(alpha=0.6), cfg)
         # batches are full windows at this size, so history rows are exact
         # full-batch attribute losses
         assert hist[39].losses[0] < hist[0].losses[0]
 
     def test_small_batches_vary_by_epoch(self):
-        g, paths, targets, _ = planted_instance(n=30)
+        g, paths, _, _ = planted_instance(n=30)
         cfg = LearnerConfig(hidden_dim=4, num_hops=1, epochs_attr=4, epochs_label=1,
                             batch_rows=6, batch_cols=5, seed=1)
-        _, hist = train(g, paths, targets, cfg)
+        _, hist = train(g, paths, PLANTED_TARGETS, cfg)
         assert len({row.losses for row in hist}) > 1
 
 
 class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        g, paths, targets, _ = planted_instance(n=20)
-        cfg = LearnerConfig(hidden_dim=4, num_hops=1, epochs_attr=3, epochs_label=1, seed=4)
-        model, _ = train(g, paths, targets, cfg)
+    @pytest.mark.parametrize("num_hops,concat", [(1, False), (1, True), (2, False), (2, True)])
+    def test_round_trip(self, num_hops, concat, tmp_path):
+        g, paths, _, _ = planted_instance(n=20)
+        cfg = LearnerConfig(hidden_dim=4, num_hops=num_hops, epochs_attr=3, epochs_label=1, seed=4,
+                            concat_distribution_features=concat)
+        model, _ = train(g, paths, PLANTED_TARGETS, cfg)
         fn = str(tmp_path / "model.msl")
-        save_model(model, fn, extra_meta={"targets": {"num_hops": 1, "alpha": 0.3}})
+        save_model(model, fn, extra_meta={"targets": {"num_hops": num_hops, "alpha": 0.3}})
         ckpt = read_checkpoint(fn)
         loaded, header = ckpt.model(g), ckpt.header
         assert header["meta"]["targets"]["alpha"] == 0.3
@@ -525,6 +527,10 @@ class TestCheckpoint:
         assert model_similarity(loaded, paths[0], 1, 2) == pytest.approx(
             model_similarity(model, paths[0], 1, 2)
         )
+        # the rebuilt model, distribution columns included, scores as trained
+        for p in paths:
+            for rep, ref in zip(_path_reps(loaded, p), _path_reps(model, p), strict=True):
+                np.testing.assert_array_equal(rep.units, ref.units)
 
     def test_header_readable_without_graph(self, tmp_path):
         g, paths, targets, model = planted_instance(n=20)

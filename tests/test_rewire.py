@@ -34,7 +34,7 @@ from hgrw.rewire import (
 )
 from hgrw.sparse import bool_csr
 from hgrw.synth import SynthConfig, synth_generate
-from hgrw.targets import TargetsConfig, similarity_targets
+from hgrw.targets import TargetsConfig
 
 from conftest import make_graph, same_structure, symmetric_edges
 from oracles import (
@@ -294,10 +294,8 @@ class TestRewireMetapath:
                                        noise_scale=0.3, seed=11))
         path = MetaPath((0,))
         from hgrw.learner import train
-        tcfg = TargetsConfig(num_hops=1, alpha=0.9)
-        targets = [similarity_targets(compose_metapath(g, path), g, tcfg)[1]]
         cfg = LearnerConfig(hidden_dim=8, num_hops=1, epochs_attr=60, epochs_label=5, seed=11)
-        model, _ = train(g, [path], targets, cfg)
+        model, _ = train(g, [path], TargetsConfig(alpha=0.9), cfg)
         sub = compose_metapath(g, path)
         rcfg = RewireConfig(edge_budget=4, epsilon=0.5, gamma=0.0)
         rewired, plan = rewire_metapath(sub, score_candidates(model, sub, rcfg), rcfg)
@@ -498,9 +496,7 @@ def test_scan_and_apply_match_per_row_and_set_oracles(
 
 def concat_or_plain_model(g, path: MetaPath, num_hops: int, concat: bool, seed: int = 0) -> SimilarityModel:
     cfg = LearnerConfig(hidden_dim=4, num_hops=num_hops, seed=seed, concat_distribution_features=concat)
-    tcfg = TargetsConfig(num_hops=num_hops)
-    dist = [similarity_targets(compose_metapath(g, path), g, tcfg)[0]] if concat else None
-    return SimilarityModel(g, [path], cfg, dist_features=dist)
+    return SimilarityModel(g, [path], cfg)
 
 
 @pytest.mark.parametrize("num_hops,concat", [(1, False), (2, False), (2, True)])

@@ -29,7 +29,7 @@ def build_star():
 
 def star_distributions(star_graph, alpha=0.6):
     sub = compose_metapath(star_graph, MetaPath((0,)))
-    return neighborhood_distributions(sub, star_graph, TargetsConfig(num_hops=1, alpha=alpha))
+    return neighborhood_distributions(sub, star_graph, TargetsConfig(alpha=alpha), 1)
 
 
 class TestNeighborhoodDistributions:
@@ -60,9 +60,9 @@ class TestNeighborhoodDistributions:
         assert np.allclose(df.label[0].sum(axis=1), 1.0)
 
     def test_label_row_sums_bounded(self, star_graph):
-        cfg = TargetsConfig(num_hops=3, alpha=0.5)
+        cfg = TargetsConfig(alpha=0.5)
         sub = compose_metapath(star_graph, MetaPath((0,)))
-        df = neighborhood_distributions(sub, star_graph, cfg)
+        df = neighborhood_distributions(sub, star_graph, cfg, 3)
         for hop in df.label:
             sums = hop.sum(axis=1)
             assert np.all(sums >= -1e-12) and np.all(sums <= 1.0 + 1e-12)
@@ -112,7 +112,7 @@ class TestSimilarityTargets:
         labels[rng.random(n) > labeled_frac] = -1
         g = make_graph({"n": n}, [("r", "n", "n", edges)], "n", labels.tolist(), num_classes=3, seed=seed)
         sub = compose_metapath(g, MetaPath((0,)))
-        _, tg = similarity_targets(sub, g, TargetsConfig(num_hops=num_hops, alpha=0.3))
+        tg = similarity_targets(sub, g, TargetsConfig(alpha=0.3), num_hops)
         return g, tg
 
     def test_self_pair_is_one(self):
@@ -145,7 +145,7 @@ class TestSimilarityTargets:
             features={"n": features},
         )
         sub = compose_metapath(g, MetaPath((0,)))
-        _, tg = similarity_targets(sub, g, TargetsConfig(num_hops=1, alpha=0.0))
+        tg = similarity_targets(sub, g, TargetsConfig(alpha=0.0), 1)
         assert tg.attr_block(np.array([0]), np.array([1]))[0, 0] == pytest.approx(-1.0)
 
     def test_matches_dense_oracle(self):
@@ -197,10 +197,10 @@ class TestSimilarityTargets:
                 num_classes=g.num_classes,
             )
 
-        cfg = TargetsConfig(num_hops=2, alpha=0.3)
+        cfg = TargetsConfig(alpha=0.3)
         base = with_features(exact)
         shifted = with_features(exact + np.float32(4.0))
         idx = np.arange(15)
-        t1 = similarity_targets(compose_metapath(base, MetaPath((0,))), base, cfg)[1]
-        t2 = similarity_targets(compose_metapath(shifted, MetaPath((0,))), shifted, cfg)[1]
+        t1 = similarity_targets(compose_metapath(base, MetaPath((0,))), base, cfg, 2)
+        t2 = similarity_targets(compose_metapath(shifted, MetaPath((0,))), shifted, cfg, 2)
         assert np.allclose(t1.attr_block(idx, idx), t2.attr_block(idx, idx), atol=1e-9)
