@@ -7,11 +7,12 @@ the target type.
 Loading after saving reproduces the graph exactly: integer structure equal,
 feature bytes identical.
 
-numpy's text parser reads an ASCII edge file of in-range decimal pairs, with
-a sign or blanks around a field, blank lines, CR or CRLF line ends or no
-final newline. Only `1_000`, non-ASCII bytes, the separators 0x1c-0x1f, an
-empty file and malformed or out-of-range lines reach the line-by-line
-reader, which takes what ``int()`` takes and names the first malformed line.
+numpy's text parser reads an ASCII edge file or labels.tsv of in-range
+decimal pairs, with a sign or blanks around a field, blank lines, CR or CRLF
+line ends or no final newline. Only `1_000`, non-ASCII bytes, the separators
+0x1c-0x1f, an empty file, malformed or out-of-range lines and a node labeled
+twice reach the line-by-line reader, which takes what ``int()`` takes and
+names the first malformed line.
 """
 
 from __future__ import annotations
@@ -122,23 +123,29 @@ def read_features_tsv(filename: str, cols: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.float32)
 
 
-def _read_edges(filename: str, n_src: int, n_dst: int) -> sp.csr_matrix:
-    """The relation matrix of an edge file. The line reader decides whatever
-    numpy's parser rejects, warns about or could misread: that parser takes
-    the bytes 0x1c-0x1f for blanks and some non-ASCII letters for digits."""
-    if not os.path.isfile(filename):
-        raise DataError(f"missing edge file {filename}")
+def _numpy_pairs(filename: str, high: tuple[int, int]) -> np.ndarray | None:
+    """A file of tab-separated integer pairs, each column in [0, high), as
+    numpy's parser reads it (m x 2, int64); None where a line reader must
+    decide, including where that parser could misread the file: it takes the
+    bytes 0x1c-0x1f for blanks and some non-ASCII letters for digits."""
     with open(filename, "rb") as fh:
         raw = fh.read()
-    edges = None
     if raw.isascii() and not any(sep in raw for sep in b"\x1c\x1d\x1e\x1f"):
         with contextlib.suppress(Exception), warnings.catch_warnings():
             warnings.simplefilter("error")
-            edges = np.loadtxt(filename, dtype=np.int64, delimiter="\t", comments=None, ndmin=2,
+            pairs = np.loadtxt(filename, dtype=np.int64, delimiter="\t", comments=None, ndmin=2,
                                encoding="utf-8")
-    if edges is None or edges.shape[1] != 2 or (edges < 0).any() or (edges >= (n_src, n_dst)).any():
-        return bool_csr(*_read_edge_lines(filename, n_src, n_dst), (n_src, n_dst))
-    return bool_csr(edges[:, 0], edges[:, 1], (n_src, n_dst))
+            if pairs.shape[1] == 2 and not (pairs < 0).any() and not (pairs >= high).any():
+                return pairs
+    return None
+
+
+def _read_edges(filename: str, n_src: int, n_dst: int) -> sp.csr_matrix:
+    """The relation matrix of an edge file, by the line reader where numpy's parser may not decide."""
+    if not os.path.isfile(filename):
+        raise DataError(f"missing edge file {filename}")
+    edges = _numpy_pairs(filename, (n_src, n_dst))
+    return bool_csr(*(_read_edge_lines(filename, n_src, n_dst) if edges is None else edges.T), (n_src, n_dst))
 
 
 def _read_edge_lines(filename: str, n_src: int, n_dst: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,29 +209,25 @@ def save_graph(g: HeteroGraph, directory: str) -> None:
     for t, x in zip(g.schema.node_types, g.features):
         fname = f"features_{_safe_name(t.name, taken)}.bin"
         write_features_bin(x, os.path.join(directory, fname))
-        node_rows.append(
-            {"name": t.name, "count": t.node_count, "feature_dim": t.feature_dim, "feature_file": fname}
-        )
+        node_rows.append({"name": t.name, "count": t.node_count, "feature_dim": t.feature_dim,
+                          "feature_file": fname})
     rel_rows = []
     taken_edges: set[str] = set()
     for r, adj in zip(g.schema.relations, g.adjacency):
         fname = f"edges_{_safe_name(r.name, taken_edges)}.tsv"
         coo = adj.tocoo()
         _write_edges(coo.row, coo.col, os.path.join(directory, fname))
-        rel_rows.append(
-            {
-                "name": r.name,
-                "src": g.schema.node_types[r.src_type].name,
-                "dst": g.schema.node_types[r.dst_type].name,
-                "edge_file": fname,
-            }
-        )
+        rel_rows.append({"name": r.name, "src": g.schema.node_types[r.src_type].name,
+                         "dst": g.schema.node_types[r.dst_type].name, "edge_file": fname})
 
     labeled = np.flatnonzero(g.labels >= 0)
     _write_edges(labeled, g.labels[labeled], os.path.join(directory, "labels.tsv"))
-    with open(os.path.join(directory, "splits.tsv"), "w", encoding="utf-8") as fh:
-        for i in np.flatnonzero(g.splits != UNASSIGNED):
-            fh.write(f"{i}\t{SPLIT_NAMES[int(g.splits[i])]}\n")
+    assigned = np.flatnonzero(g.splits != UNASSIGNED)
+    text = _encode_edges(assigned, g.splits[assigned]).tobytes() if assigned.size else b""
+    for code, name in SPLIT_NAMES.items():  # the second field of each line is its one-digit code
+        text = text.replace(b"\t%d\n" % code, b"\t%s\n" % name.encode())
+    with open(os.path.join(directory, "splits.tsv"), "wb") as fh:
+        fh.write(text)
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -257,10 +260,15 @@ def _check_fields(manifest_path: str, what: str, doc, types: dict[str, type]) ->
 def _read_node_table(filename: str, n_tgt: int, what: str, fill: int, dtype, parse) -> np.ndarray:
     """One value per target node from 'node<TAB>value' lines, ``fill`` for
     nodes not listed. A line without exactly two fields, a value ``parse``
-    rejects, a node out of range or listed twice is a DataError naming it."""
+    rejects, a node out of range or listed twice is a DataError naming it.
+    numpy's parser reads an int table of distinct nodes and values >= 0."""
     if not os.path.isfile(filename):
         raise DataError(f"missing file {filename}")
     out = np.full(n_tgt, fill, dtype=dtype)
+    pairs = _numpy_pairs(filename, (n_tgt, np.iinfo(np.int64).max)) if parse is int else None
+    if pairs is not None and np.bincount(pairs[:, 0], minlength=1).max() <= 1:
+        out[pairs[:, 0]] = pairs[:, 1]
+        return out
     seen = np.zeros(n_tgt, dtype=bool)
     with open(filename, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -10,17 +10,19 @@ among its row's best within a slack of about hops * (width + 4) * 2^-23, and
 ranks only those in float64. Under restrict_two_hop a tile is masked to its
 rows' two-hop reach: a boolean tile is cleared at each edge i - j and along
 each walk i - j - c of the subgraph, WALKS walks at a time, and the entries
-left set become -inf. Existing pairs are scored in chunks of TILE // width
-pairs, so no temporary that grows with the node or edge count outgrows 8 MiB
-but the unit rows, which ``_path_reps`` builds for all targets at once. Pair
-keys are sorted int64 arrays: numpy's hashed np.unique, np.isin and
-np.union1d are several times slower than a sort and searchsorted on them.
+left set become -inf. Existing pairs are scored in chunks whose two gathered
+operands share TILE values, so no temporary that grows with the node or
+edge count outgrows 8 MiB but the unit rows, which ``_path_reps`` builds for
+all targets at once. Plans hold pairs in arrays, 24 bytes each, formatted
+_PLAN_LINES at a time on write. Pair keys are sorted int64 arrays: numpy's
+hashed np.unique, np.isin and np.union1d are several times slower than a
+sort and searchsorted on them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -33,8 +35,9 @@ from .metapath import REWIRED_PREFIX, MetaPath, MetaPathSubgraph, path_label
 from .sparse import bool_csr
 
 GROUPS = 64  # column groups per score row for the top-k lower bound
-TILE = 1 << 20  # float64 values (8 MiB) in a pair-score gather; the float32 scan tiles hold twice as many
+TILE = 1 << 20  # float64 values (8 MiB) in both operands of a pair gather; scan tiles hold 2 * TILE float32
 WALKS = TILE // 32  # two-hop walks (40 bytes each), then mask entries, handled at a time
+_PLAN_LINES = 1 << 12  # plan lines formatted per write: their Python objects take under 1 MB
 
 
 @dataclass(frozen=True)
@@ -52,22 +55,31 @@ class RewireConfig:
 
 
 @dataclass(frozen=True)
-class CandidateSet:
-    """Every node's top candidates as parallel flat arrays, ordered by
-    (source, -score, partner), with the path's unit rows that scored them.
-    Pruning scores existing pairs with the same rows."""
+class Pairs:
+    """Scored pairs (sources[k], partners[k]) with score scores[k], as
+    parallel int64, int64 and float64 arrays: 24 bytes a pair."""
 
-    sources: np.ndarray  # int64
-    partners: np.ndarray  # int64
+    sources: np.ndarray
+    partners: np.ndarray
     scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+
+@dataclass(frozen=True)
+class CandidateSet(Pairs):
+    """Every node's top candidates, ordered by (source, -score, partner), and
+    the path's unit rows that scored them, with which pruning scores pairs."""
+
     units: list[np.ndarray]  # per hop, every target's unit row (float64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewirePlan:
     path: MetaPath
-    additions: list[tuple[int, int, float]] = field(default_factory=list)
-    removals: list[tuple[int, int, float]] = field(default_factory=list)
+    additions: Pairs
+    removals: Pairs  # (i, j) with i < j, in key order
 
     @property
     def empty(self) -> bool:
@@ -190,10 +202,10 @@ def _mask_beyond_two_hops(sim: np.ndarray, far: np.ndarray, start: int, adj) -> 
 
 def _pair_scores(units: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The score of each pair (a[i], b[i]): the product over hops of the dots
-    of its unit rows, gathering at most TILE values per operand at a time. A
-    pair's score depends on its two rows only."""
+    of its unit rows, gathering at most TILE values for both operands at a
+    time. A pair's score depends on its two rows only."""
     out = np.ones(len(a))
-    chunk = max(1, TILE // max(u.shape[1] for u in units))
+    chunk = max(1, TILE // (2 * max(u.shape[1] for u in units)))
     for lo in range(0, len(a), chunk):
         part, ia, ib = out[lo : lo + chunk], a[lo : lo + chunk], b[lo : lo + chunk]
         for u in units:
@@ -237,17 +249,11 @@ def rewire_metapath(
     src, dst, scores = candidates.sources, candidates.partners, candidates.scores
     keys = np.minimum(src, dst) * n + np.maximum(src, dst)
     new = (src != dst) & ~_in_sorted(keys, existing)
-    plan = RewirePlan(
-        path=sub.path,
-        additions=list(zip(src[new].tolist(), dst[new].tolist(), scores[new].tolist())),
-    )
-
-    low = np.zeros(existing.size, dtype=bool)
-    if existing.size and cfg.gamma > -1.0:
-        lo, hi = np.divmod(existing, n)
-        pair_scores = _pair_scores(candidates.units, lo, hi)
-        low = pair_scores < cfg.gamma
-        plan.removals = list(zip(lo[low].tolist(), hi[low].tolist(), pair_scores[low].tolist()))
+    pair_scores = (_pair_scores(candidates.units, *np.divmod(existing, n)) if cfg.gamma > -1.0
+                   else np.zeros(existing.size))  # above any gamma <= -1: nothing is pruned
+    low = pair_scores < cfg.gamma
+    plan = RewirePlan(sub.path, Pairs(src[new], dst[new], scores[new]),
+                      Pairs(*np.divmod(existing[low], n), pair_scores[low]))
 
     # both directions of every kept pair: the result is symmetric as built
     lo, hi = np.divmod(_sorted_unique(np.concatenate([existing[~low], keys[new]])), n)
@@ -269,33 +275,20 @@ def merge_into_graph(g: HeteroGraph, rewired: list[MetaPathSubgraph]) -> HeteroG
         if name in taken:
             raise DataError(f"relation name {name!r} already exists")
         taken.add(name)
-        new_rels.append(
-            Relation(rel_id=len(new_rels), name=name, src_type=g.target_type, dst_type=g.target_type)
-        )
+        new_rels.append(Relation(len(new_rels), name, g.target_type, g.target_type))
         new_adj.append(sub.adjacency)
-    schema = HeteroSchema(node_types=g.schema.node_types, relations=tuple(new_rels))
-    return HeteroGraph(
-        schema=schema,
-        adjacency=tuple(new_adj),
-        features=g.features,
-        labels=g.labels,
-        splits=g.splits,
-        target_type=g.target_type,
-        num_classes=g.num_classes,
-    )
-
-
-def plan_tsv_text(plans: list[RewirePlan], schema: HeteroSchema) -> str:
-    """The plan file: a header, then ``label<TAB>op<TAB>i<TAB>j<TAB>repr(score)``
-    lines, each path's block one %-format of a repeated line template."""
-    blocks = ["metapath\top\ti\tj\tscore\n"]
-    for plan in plans:
-        label = path_label(schema, plan.path).replace("%", "%%")
-        for op, pairs in (("add", plan.additions), ("del", plan.removals)):
-            blocks.append((f"{label}\t{op}\t%d\t%d\t%r\n" * len(pairs)) % tuple(chain.from_iterable(pairs)))
-    return "".join(blocks)
+    return replace(g, schema=replace(g.schema, relations=tuple(new_rels)), adjacency=tuple(new_adj))
 
 
 def save_plan_tsv(plans: list[RewirePlan], schema: HeteroSchema, filename: str) -> None:
+    """The plan file: a header, then ``label<TAB>op<TAB>i<TAB>j<TAB>repr(score)``
+    lines, written _PLAN_LINES at a time as one %-format of a repeated line template."""
     with atomic_write(filename, "w", encoding="utf-8") as fh:
-        fh.write(plan_tsv_text(plans, schema))
+        fh.write("metapath\top\ti\tj\tscore\n")
+        for plan in plans:
+            label = path_label(schema, plan.path).replace("%", "%%")
+            for op, p in (("add", plan.additions), ("del", plan.removals)):
+                line = f"{label}\t{op}\t%d\t%d\t%r\n"
+                for at in range(0, len(p), _PLAN_LINES):
+                    cols = [c[at : at + _PLAN_LINES].tolist() for c in (p.sources, p.partners, p.scores)]
+                    fh.write((line * len(cols[0])) % tuple(chain.from_iterable(zip(*cols))))

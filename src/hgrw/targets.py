@@ -104,7 +104,6 @@ class SimilarityTargets:
     """
 
     def __init__(self, df: DistributionFeatures):
-        self.df = df
         self._attr_units = tuple(centered_unit_rows(m, m.mean(axis=0))[0] for m in df.attr)
         self._label_units = tuple(centered_unit_rows(m, m.mean(axis=0))[0] for m in df.label)
         self.mask = df.mask.astype(np.float64)

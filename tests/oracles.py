@@ -470,8 +470,7 @@ def plan_tsv_lines_per_pair(plans, schema) -> list[str]:
     lines = ["metapath\top\ti\tj\tscore"]
     for plan in plans:
         label = path_label(schema, plan.path)
-        for i, j, s in plan.additions:
-            lines.append(f"{label}\tadd\t{i}\t{j}\t{s!r}")
-        for i, j, s in plan.removals:
-            lines.append(f"{label}\tdel\t{i}\t{j}\t{s!r}")
+        for op, pairs in (("add", plan.additions), ("del", plan.removals)):
+            for i, j, s in zip(pairs.sources.tolist(), pairs.partners.tolist(), pairs.scores.tolist()):
+                lines.append(f"{label}\t{op}\t{i}\t{j}\t{s!r}")
     return lines

@@ -13,7 +13,7 @@ from hgrw import dataio
 from hgrw.cli import main
 from hgrw.dataio import atomic_write, load_graph, read_features_bin, save_graph, write_features_bin
 from hgrw.errors import DataError
-from hgrw.graph import TRAIN
+from hgrw.graph import SPLIT_NAMES, TRAIN, UNASSIGNED
 from hgrw.metapath import MetaPath, compose_metapath, path_homophily
 from hgrw.sparse import bool_csr
 from hgrw.synth import SynthConfig, synth_generate
@@ -269,23 +269,29 @@ EDGE_FILE_EDIT = st.tuples(
 )
 
 
+def edited_pairs_file(directory, name, pairs, edits) -> str:
+    """A file of 'a<TAB>b' lines, one per pair, after each EDGE_FILE_EDIT in turn."""
+    raw = b"".join(b"%d\t%d\n" % pair for pair in pairs)
+    for pos, kind, payload in edits:
+        at = pos % (len(raw) + 1)
+        if kind == "insert":
+            raw = raw[:at] + payload + raw[at:]
+        elif kind == "set":
+            raw = raw[:at] + payload + raw[at + 1 :]
+        else:
+            raw = raw[:at]
+    filename = str(directory / name)
+    with open(filename, "wb") as fh:
+        fh.write(raw)
+    return filename
+
+
 class TestEdgeFiles:
     @given(edges=EDGE_LIST, edits=st.lists(EDGE_FILE_EDIT, max_size=3),
            n_src=st.sampled_from([13, 10**18]), n_dst=st.sampled_from([13, 10**18]))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_fast_reader_agrees_with_line_reader(self, tmp_path_factory, edges, edits, n_src, n_dst):
-        raw = b"".join(b"%d\t%d\n" % edge for edge in edges)
-        for pos, kind, payload in edits:
-            at = pos % (len(raw) + 1)
-            if kind == "insert":
-                raw = raw[:at] + payload + raw[at:]
-            elif kind == "set":
-                raw = raw[:at] + payload + raw[at + 1 :]
-            else:
-                raw = raw[:at]
-        filename = str(tmp_path_factory.mktemp("edges") / "edges.tsv")
-        with open(filename, "wb") as fh:
-            fh.write(raw)
+        filename = edited_pairs_file(tmp_path_factory.mktemp("edges"), "edges.tsv", edges, edits)
         # at 10**18 rows no matrix can be built, so the endpoints are compared
         buildable = n_src == 13
         line_reader = mock.Mock(wraps=dataio._read_edge_lines)
@@ -345,11 +351,50 @@ class TestEdgeFiles:
         def line_reader(*args):
             raise AssertionError("a saved edge file went through the line reader")
 
+        parsed, numpy_parse = [], dataio._numpy_pairs
+
+        def numpy_pairs(filename, high):
+            pairs = numpy_parse(filename, high)
+            parsed.append((os.path.basename(filename), pairs is not None))
+            return pairs
+
         monkeypatch.setattr(dataio, "_read_edge_lines", line_reader)
+        monkeypatch.setattr(dataio, "_numpy_pairs", numpy_pairs)
         assert graphs_equal(g, load_graph(str(tmp_path / "ds")))
+        assert ("labels.tsv", True) in parsed and all(ok for _, ok in parsed)
         labeled = np.flatnonzero(g.labels >= 0)
         assert (tmp_path / "ds" / "labels.tsv").read_text() == "".join(
             f"{i}\t{g.labels[i]}\n" for i in labeled)
+
+
+@pytest.mark.parametrize("codes", [[], [UNASSIGNED] * 4, [0, 3, 1, 2, 2, 3, 0, 1, 3, 0, 2, 1]],
+                         ids=["no nodes", "none assigned", "mixed"])
+def test_splits_file_holds_the_per_line_text(tmp_path, codes):
+    g = dataclasses.replace(toy_graph(), splits=np.array(codes, dtype=np.int8))
+    save_graph(g, str(tmp_path / "ds"))
+    assert (tmp_path / "ds" / "splits.tsv").read_bytes() == "".join(
+        f"{i}\t{SPLIT_NAMES[c]}\n" for i, c in enumerate(codes) if c != UNASSIGNED).encode()
+
+
+class TestLabelFiles:
+    # labels past the int64 range, at its ends and negative, beside in-range ones
+    LABELS = st.lists(st.tuples(st.integers(0, 14), st.one_of(
+        st.integers(-3, 14), st.sampled_from([2**63 - 2, 2**63 - 1, 2**63, -(2**63), 10**19]))), max_size=12)
+
+    @given(labels=LABELS, edits=st.lists(EDGE_FILE_EDIT, max_size=3))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_fast_reader_agrees_with_line_reader(self, tmp_path_factory, labels, edits):
+        filename = edited_pairs_file(tmp_path_factory.mktemp("labels"), "labels.tsv", labels, edits)
+
+        def outcome():
+            try:
+                return dataio._read_node_table(filename, 13, "label", -1, np.int64, int).tolist()
+            except DataError as exc:
+                return str(exc)
+
+        fast = outcome()
+        with mock.patch.object(dataio, "_numpy_pairs", return_value=None):
+            assert fast == outcome()
 
 
 class TestAtomicWrite:

@@ -90,8 +90,10 @@ def test_renaming_target_nodes_permutes_every_result(n, seed):
         cands = score_candidates(model, sub, rcfg)
         plan = rewire_metapath(sub, cands, rcfg)[1]
         plan_p = rewire_metapath(sub_p, score_candidates(model_p, sub_p, rcfg), rcfg)[1]
-        added = {(i, j): s for i, j, s in plan.additions}
-        added_p = {(int(perm[i]), int(perm[j])): s for i, j, s in plan_p.additions}
+        add, add_p = plan.additions, plan_p.additions
+        added = dict(zip(zip(add.sources.tolist(), add.partners.tolist()), add.scores.tolist()))
+        renamed = zip(perm[add_p.sources].tolist(), perm[add_p.partners].tolist())
+        added_p = dict(zip(renamed, add_p.scores.tolist()))
         # a pair may differ only where a tie at a source's k-th score, or a
         # score at epsilon, lets float order decide
         kth = kth_scores(cands, n, rcfg.edge_budget)
@@ -145,8 +147,9 @@ def test_relabelling_the_classes_changes_no_value(n, seed):
     for sub in subs:
         plan, plan_p = (rewire_metapath(sub, score_candidates(m, sub, rcfg), rcfg)[1] for m in (model, model_p))
         for pairs, pairs_p in ((plan.additions, plan_p.additions), (plan.removals, plan_p.removals)):
-            assert [p[:2] for p in pairs_p] == [p[:2] for p in pairs]
-            np.testing.assert_allclose([p[2] for p in pairs_p], [p[2] for p in pairs], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(pairs_p.sources, pairs.sources, strict=True)
+            np.testing.assert_array_equal(pairs_p.partners, pairs.partners, strict=True)
+            np.testing.assert_allclose(pairs_p.scores, pairs.scores, rtol=0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")

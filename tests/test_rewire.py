@@ -21,13 +21,13 @@ from hgrw import rewire
 from hgrw.rewire import (
     TILE,
     CandidateSet,
+    Pairs,
     RewireConfig,
     RewirePlan,
     _in_sorted,
     _pair_scores,
     _sorted_unique,
     merge_into_graph,
-    plan_tsv_text,
     rewire_metapath,
     save_plan_tsv,
     score_candidates,
@@ -64,9 +64,15 @@ def node_candidates(cands, i):
     return cands.partners[at], cands.scores[at]
 
 
-def assert_same_candidates(got, want):
+def assert_same_pairs(got, want):
     for a, b in ((got.sources, want.sources), (got.partners, want.partners), (got.scores, want.scores)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def pairs_of(triples) -> Pairs:
+    """The Pairs of a list of (i, j, score) triples."""
+    cols = np.array(triples, dtype=object).reshape(-1, 3).T
+    return Pairs(cols[0].astype(np.int64), cols[1].astype(np.int64), cols[2].astype(np.float64))
 
 
 def set_tile_rows(mp, rows: int, n: int, num_hops: int = 1) -> None:
@@ -166,7 +172,7 @@ class TestScoreCandidates:
         want = score_candidates(model, sub, cfg)
         assert want.sources.size > 0
         monkeypatch.setattr(rewire, "WALKS", walks)
-        assert_same_candidates(score_candidates(model, sub, cfg), want)
+        assert_same_pairs(score_candidates(model, sub, cfg), want)
 
 
 class TestSortedKeys:
@@ -234,7 +240,9 @@ def test_default_scan_memory_is_set_by_the_tile(instance, two_hop):
 
 def test_pruning_memory_is_set_by_the_tile():
     """Scoring over 200,000 existing pairs gathers their unit rows a chunk at
-    a time: two pairs x d copies would take 111 MB."""
+    a time, both operands within TILE values: two pairs x d copies would take
+    111 MB. Beyond the chunk, each existing pair may take 64 bytes: its key,
+    its score, its endpoints and its share of the adjacency's entries."""
     n = 4_000
     g, path, model = random_instance(n)
     i, j = np.random.default_rng(1).integers(0, n, (2, 220_000))
@@ -244,7 +252,7 @@ def test_pruning_memory_is_set_by_the_tile():
     units = [rep.units for rep in _path_reps(model, path)]
     nothing = CandidateSet(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), units)
     peak = traced_peak(rewire_metapath, sub, nothing, RewireConfig(gamma=0.0))
-    assert peak < pairs * model.cfg.hidden_dim * 8
+    assert peak < 2 * TILE * 8 + 64 * pairs
 
 
 class TestRewireMetapath:
@@ -270,7 +278,8 @@ class TestRewireMetapath:
         cfg = RewireConfig(edge_budget=3, epsilon=-2.0)
         rewired, plan = rewire_metapath(sub, score_candidates(model, sub, cfg), cfg)
         before = csr_pairs(sub.adjacency)
-        for i, j, score in plan.additions:
+        add = plan.additions
+        for i, j, score in zip(add.sources.tolist(), add.partners.tolist(), add.scores.tolist()):
             assert i != j
             assert (i, j) not in before
             assert score > cfg.epsilon
@@ -283,8 +292,7 @@ class TestRewireMetapath:
         cfg = RewireConfig(edge_budget=2, epsilon=-2.0)
         sub = compose_metapath(g, path)
         _, plan = rewire_metapath(sub, score_candidates(model, sub, cfg), cfg)
-        sources = [i for i, _, _ in plan.additions]
-        assert max(np.bincount(sources)) <= 2
+        assert max(np.bincount(plan.additions.sources)) <= 2
 
     def test_planted_blocks_gain_homophily(self):
         # heterophilous planted instance: additions should concentrate inside
@@ -302,11 +310,10 @@ class TestRewireMetapath:
         hr_before = path_homophily(sub, g.labels).ratio
         hr_after = path_homophily(rewired, g.labels).ratio
         assert hr_after > hr_before
-        add_same = [g.labels[i] == g.labels[j] for i, j, _ in plan.additions]
-        assert np.mean(add_same) > 0.8
-        del_cross = [g.labels[i] != g.labels[j] for i, j, _ in plan.removals]
-        if plan.removals:
-            assert np.mean(del_cross) > 0.5
+        add, rem = plan.additions, plan.removals
+        assert np.mean(g.labels[add.sources] == g.labels[add.partners]) > 0.8
+        if rem:
+            assert np.mean(g.labels[rem.sources] != g.labels[rem.partners]) > 0.5
 
     def test_pair_keys_past_int32_range(self):
         # i * n + j passes 2**31 here, while the adjacency stores int32 indices
@@ -327,12 +334,14 @@ class TestRewireMetapath:
         old = {(i, j) for e in edges for i, j in (e, e[::-1])}
 
         rewired, plan = rewire_metapath(sub, cands, RewireConfig())
-        assert plan.additions == [(46_341, 49_999, 0.8), (49_999, 46_341, 0.8)]
-        assert plan.removals == []
+        assert_same_pairs(plan.additions, pairs_of([(46_341, 49_999, 0.8), (49_999, 46_341, 0.8)]))
+        assert_same_pairs(plan.removals, pairs_of([]))
         assert csr_pairs(rewired.adjacency) == old | new
 
         rewired, plan = rewire_metapath(sub, cands, RewireConfig(gamma=1.01))
-        assert [(i, j) for i, j, _ in plan.removals] == edges
+        removed = plan.removals
+        assert removed.sources.dtype == removed.partners.dtype == np.int64
+        assert list(zip(removed.sources.tolist(), removed.partners.tolist())) == edges
         assert csr_pairs(rewired.adjacency) == new
 
 
@@ -372,12 +381,13 @@ class TestMerge:
             assert same_structure(a, b)
 
 
-def test_plan_tsv_format():
+def test_plan_tsv_format(tmp_path):
     g, path, model = small_model(n=8, seed=1)
     cfg = RewireConfig(edge_budget=2, epsilon=-2.0, gamma=0.9)
     sub = compose_metapath(g, path)
     _, plan = rewire_metapath(sub, score_candidates(model, sub, cfg), cfg)
-    text = plan_tsv_text([plan], g.schema)
+    save_plan_tsv([plan], g.schema, str(tmp_path / "rewire_plan.tsv"))
+    text = (tmp_path / "rewire_plan.tsv").read_text(encoding="utf-8")
     assert text.endswith("\n")
     lines = text.splitlines()
     assert lines[0] == "metapath\top\ti\tj\tscore"
@@ -387,21 +397,42 @@ def test_plan_tsv_format():
         int(i), int(j), float(score)
 
 
-def test_plan_tsv_matches_the_per_pair_lines():
-    # a relation name with a % sign, beside scores whose repr is unusual
+def odd_plans():
+    """Plans on a graph whose names hold % signs, with scores whose repr is
+    unusual: the second plan has 12 additions and 7 removals, the third only
+    removals, and the first nothing."""
     relations = [("r", "n%d", "n%d", [(0, 1)]), ("r%s", "n%d", "n%d", [(1, 2)]),
                  ("x", "n%d", "a", [(0, 0)]), ("y", "a", "n%d", [(0, 0)])]
     g = make_graph({"n%d": 4, "a": 2}, relations, "n%d", labels=[0, 1, 0, 1])
     scores = [-0.0, 0.0, 1e-300, 5e-324, 1.0, -1.0, 3.0, 0.1 + 0.2, 1e16, 1e-5, -2.5e-7, 0.6]
+    removals = [(1, 3, -0.0), (0, 2, 2.0), (0, 1, 5e-324), (2, 3, -1.0), (1, 2, 1e16), (0, 3, 0.1 + 0.2),
+                (2, 3, -2.5e-7)]
     plans = [
-        RewirePlan(MetaPath((0,))),
-        RewirePlan(MetaPath((1,)), additions=[(k % 4, (k + 1) % 4, s) for k, s in enumerate(scores)],
-                   removals=[(1, 3, -0.0), (0, 2, 2.0)]),
-        RewirePlan(MetaPath((2, 3)), removals=[(3, 0, 1e-300)]),
+        RewirePlan(MetaPath((0,)), pairs_of([]), pairs_of([])),
+        RewirePlan(MetaPath((1,)), pairs_of([(k % 4, (k + 1) % 4, s) for k, s in enumerate(scores)]),
+                   pairs_of(removals)),
+        RewirePlan(MetaPath((2, 3)), pairs_of([]), pairs_of([(3, 0, 1e-300)])),
     ]
-    text = plan_tsv_text(plans, g.schema)
+    return g, plans
+
+
+def test_plan_tsv_matches_the_per_pair_lines(tmp_path):
+    g, plans = odd_plans()
+    save_plan_tsv(plans, g.schema, str(tmp_path / "rewire_plan.tsv"))
+    text = (tmp_path / "rewire_plan.tsv").read_text(encoding="utf-8")
     assert "N(r%s)N" in text
     assert text == "\n".join(plan_tsv_lines_per_pair(plans, g.schema)) + "\n"
+
+
+@pytest.mark.parametrize("lines", [1, 3, 5, 12])
+def test_plan_written_in_chunks_matches_the_per_pair_lines(tmp_path, monkeypatch, lines):
+    # chunks of 3 or 5 lines end inside both blocks of the second plan; 12
+    # lines end at its additions' last line
+    g, plans = odd_plans()
+    monkeypatch.setattr(rewire, "_PLAN_LINES", lines)
+    save_plan_tsv(plans, g.schema, str(tmp_path / "rewire_plan.tsv"))
+    want = "\n".join(plan_tsv_lines_per_pair(plans, g.schema)) + "\n"
+    assert (tmp_path / "rewire_plan.tsv").read_bytes() == want.encode("utf-8")
 
 
 def test_failed_plan_write_keeps_existing_file(tmp_path):
@@ -488,8 +519,8 @@ def test_scan_and_apply_match_per_row_and_set_oracles(
         assert np.array_equal(got, want)
 
     want_adj, want_add, want_del = rewire_with_sets(sub, want_idx, want_scores, model, gamma)
-    assert plan.additions == want_add
-    assert plan.removals == want_del
+    assert_same_pairs(plan.additions, pairs_of(want_add))
+    assert_same_pairs(plan.removals, pairs_of(want_del))
     assert same_structure(rewired.adjacency, rewired.adjacency.T.tocsr())
     assert same_structure(rewired.adjacency, want_adj)
 
